@@ -53,13 +53,10 @@ from .bifurcation import (
 from .delay import (
     BetaSample,
     DelayConfig,
-    HistoryBuffer,
     RegimeReport,
     beta_sweep,
     classify_regime,
-    effective_c,
     simulate_delayed,
-    step_delayed,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +70,6 @@ __all__ = [
     "DomainViolationError",
     "Favorability",
     "FixedPointReport",
-    "HistoryBuffer",
     "IterationConfig",
     "MeanField",
     "RegimeReport",
@@ -90,7 +86,6 @@ __all__ = [
     "classify_regime",
     "critical_value",
     "derivative_n2",
-    "effective_c",
     "find_fixed_point",
     "fixed_point_for_support",
     "fixed_point_n2",
@@ -108,7 +103,6 @@ __all__ = [
     "simulate_delayed",
     "spectrum",
     "step",
-    "step_delayed",
     "step_uniform",
     "uniform_limit",
     "weighted_interaction",

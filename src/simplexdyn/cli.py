@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -81,6 +80,16 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if not lo < hi or steps < 2:
         raise argparse.ArgumentTypeError(f"need lo < hi and steps >= 2, got {text!r}")
     return lo, hi, steps
+
+
+def _parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_index_pair(text: str) -> tuple[int, int]:
@@ -575,7 +584,7 @@ def _cmd_delay(args, parser) -> int:
     lo, hi, steps = args.sweep_beta
     betas = np.linspace(lo, hi, steps)
     samples = beta_sweep(p0, cfg, betas, steps=args.steps, transient=args.transient,
-                         coordinate=args.coordinate - 1, workers=args.threads)
+                         coordinate=args.coordinate - 1)
     tally: dict[str, int] = {}
     for s in samples:
         tally[s.regime] = tally.get(s.regime, 0) + 1
@@ -622,8 +631,9 @@ def _add_output_args(sub, svg: bool = True):
                      help="output file format (default csv)")
     if svg:
         sub.add_argument("--svg", help="also write a minimal SVG plot here")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="parallelism cap for scans and sweeps")
+    sub.add_argument("--threads", type=_parse_positive_int, default=1,
+                     help="ignored: every command runs in this one process "
+                          "(kept for old command lines; will be removed)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,13 +15,16 @@ constant.  global_max is the default: it is the reading that reproduces
 the reference oscillation regimes for the four-component benchmark
 (per_component turns the strong-feedback case aperiodic).  The regime
 acceptance test exercises both and reports which one reproduces them.
+
+One engine runs the map: a batch of feedback strengths advanced together
+in one vectorised loop, each row with the arithmetic of a lone run.
+simulate_delayed is a batch of one; beta_sweep runs all its betas as one
+batch in this process and keeps only each row's classification window.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,69 +76,102 @@ class DelayConfig:
         return np.full(self.c_base.n, float(np.max(self.c_base.c)))
 
 
-class HistoryBuffer:
-    """Ring of the tau+1 most recent states; the oldest is p(t - tau).
-
-    Warm-started by repeating the initial state over the whole prehistory
-    window, the standard convention for delay systems (and the one that
-    keeps the beta=0 reduction exact).
-    """
-
-    def __init__(self, initial: SimplexState, tau: int):
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
-        self._states = deque([initial] * (tau + 1), maxlen=tau + 1)
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    @property
-    def delayed(self) -> SimplexState:
-        """p(t - tau), the oldest entry."""
-        return self._states[0]
-
-    @property
-    def current(self) -> SimplexState:
-        return self._states[-1]
-
-    def push(self, state: SimplexState) -> None:
-        self._states.append(state)
-
-
-def effective_c(history: HistoryBuffer, cfg: DelayConfig) -> np.ndarray:
-    """Favorability vector in force now: baseline minus beta times the
-    delayed own share.  May be negative; the step itself polices the
-    domain."""
-    return cfg.baseline() - cfg.beta * history.delayed.p
-
-
-def _check_domain(p: np.ndarray, factors: np.ndarray, denom: float, t: Optional[int]) -> None:
-    where = f" at step {t}" if t is not None else ""
+def _check_domain(p: np.ndarray, factors: np.ndarray, denom: float, t: int) -> None:
     bad = np.flatnonzero((p > 0.0) & (factors <= 0.0))
     if bad.size:
         raise DomainViolationError(
-            f"nonpositive multiplier for component {int(bad[0]) + 1}{where} "
+            f"nonpositive multiplier for component {int(bad[0]) + 1} at step {t} "
             f"(factor {factors[bad[0]]!r}); the feedback pushed the map off the simplex"
         )
     if denom <= 0.0:
-        raise DomainViolationError(f"nonpositive normalizer {denom!r}{where}")
+        raise DomainViolationError(f"nonpositive normalizer {denom!r} at step {t}")
 
 
-def step_delayed(history: HistoryBuffer, cfg: DelayConfig) -> SimplexState:
-    """One delayed-map step from the buffered history.
+def _validate_run(p0: SimplexState, cfg: DelayConfig, steps: int, transient: int) -> None:
+    if not steps > transient >= 0:
+        raise ValueError(f"need steps > transient >= 0, got steps={steps}, transient={transient}")
+    if cfg.c_base.n != p0.n:
+        raise DimensionError(f"dimension mismatch: state n={p0.n}, baseline n={cfg.c_base.n}")
 
-    Identical arithmetic to the static step with the effective favorability
-    substituted; at beta=0 the two coincide exactly.
+
+def _run_delayed(
+    p0: np.ndarray,
+    base: np.ndarray,
+    betas: np.ndarray,
+    tau: int,
+    steps: int,
+    keep: int,
+) -> tuple[np.ndarray, list[Optional[str]], np.ndarray]:
+    """Run the delayed map for every feedback strength in ``betas`` at once.
+
+    Row b is the run at ``betas[b]`` from p0, with the prehistory constant
+    at p0 on [-tau, 0] (the standard warm start, which keeps a beta=0 run
+    identical to dynamics.iterate).  The ring holds the tau+1 most
+    recent states, shape (tau+1, B, n); its oldest slot is p(t - tau).
+    Every row goes through the arithmetic of a lone run, so its states do
+    not depend on the other rows.  Each step divides by the weight sum
+    itself: with strongly negative effective favorability the normalizer
+    drops below n-1 and any drift in the coordinate sum would otherwise be
+    amplified geometrically.
+
+    Returns the states at steps-keep+1 .. steps, shape (keep, B, n); the
+    domain error of each row (None when it ran through); and each row's
+    last displacement max|p(steps) - p(steps-1)|.  A row that leaves the
+    simplex is frozen at its last valid state (weights become its shares,
+    normalizer 1) and carries no feedback from then on, so it raises no
+    further checks; the other rows go on.  The run stops once every row
+    has failed, leaving the unwritten part of the tail undefined.
     """
-    p = history.current.p
-    n = p.size
-    if cfg.c_base.n != n:
-        raise DimensionError(f"dimension mismatch: state n={n}, baseline n={cfg.c_base.n}")
-    c_eff = effective_c(history, cfg)
-    factors = (n - 1.0) + c_eff * (1.0 - p)
-    denom = (n - 1.0) + float(np.dot(c_eff, p * (1.0 - p)))
-    _check_domain(p, factors, denom, None)
-    return SimplexState(p * factors / denom)
+    rows, n = betas.size, p0.size
+    beta = betas.reshape(rows, 1).copy()
+    ring = np.tile(p0, (tau + 1, rows, 1))
+    p = ring[0]
+    tail = np.empty((keep, rows, n))
+    first = steps - keep + 1
+    if first == 0:
+        tail[0] = p
+    c_eff = np.empty((rows, n))
+    weights = np.empty((rows, n))
+    # Factors and normalizers share one buffer so that a single min()
+    # screens both for the domain check.
+    screen = np.empty(rows * (n + 1))
+    factors, total = screen[: rows * n].reshape(rows, n), screen[rows * n :]
+    errors: list[Optional[str]] = [None] * rows
+    frozen = np.zeros(rows, dtype=bool)
+    any_frozen = False
+    last_disp = np.zeros(rows)
+    oldest = 0
+    for t in range(1, steps + 1):
+        delayed = ring[oldest]
+        np.subtract(base, np.multiply(beta, delayed, out=c_eff), out=c_eff)
+        np.multiply(c_eff, np.subtract(1.0, p, out=factors), out=factors)
+        np.add(n - 1.0, factors, out=factors)
+        np.multiply(p, factors, out=weights)
+        np.add.reduce(weights, axis=1, out=total)
+        if screen.min() <= 0.0:
+            suspects = np.flatnonzero((total <= 0.0) | np.any(factors <= 0.0, axis=1))
+            for b in suspects:
+                try:
+                    _check_domain(p[b], factors[b], float(total[b]), t)
+                except DomainViolationError as exc:
+                    errors[b] = str(exc)
+                    frozen[b] = any_frozen = True
+                    # A positive baseline keeps a feedback-free row's
+                    # factors positive, out of the suspects above.
+                    beta[b] = 0.0
+            if frozen.all():
+                break
+        if any_frozen:
+            weights[frozen] = p[frozen]
+            total[frozen] = 1.0
+        if t == steps:
+            last_disp = np.max(np.abs(weights / total[:, None] - p), axis=1)
+        # The oldest slot has been read; it takes the new state.
+        p = np.divide(weights, total[:, None], out=delayed)
+        oldest = (oldest + 1) % (tau + 1)
+        if t >= first:
+            tail[t - first] = p
+    return tail, errors, last_disp
 
 
 def simulate_delayed(
@@ -146,51 +182,20 @@ def simulate_delayed(
 ) -> Trajectory:
     """Run the delayed map and record the post-transient states.
 
-    Prehistory is constant at p0 on [-tau, 0].  Each step renormalizes by
-    the weight sum itself: with strongly negative effective favorability
-    the normalizer drops below n-1 and any drift in the coordinate sum
-    would otherwise be amplified geometrically.
+    Prehistory is constant at p0 on [-tau, 0].  A step that would leave
+    the simplex raises DomainViolationError naming the step.
     """
-    if not steps > transient >= 0:
-        raise ValueError(f"need steps > transient >= 0, got steps={steps}, transient={transient}")
-    if cfg.c_base.n != p0.n:
-        raise DimensionError(f"dimension mismatch: state n={p0.n}, baseline n={cfg.c_base.n}")
-    n = p0.n
-    base = cfg.baseline()
-    beta = cfg.beta
-    tau = cfg.tau
-
-    p = p0.p.copy()
-    ring = np.tile(p, (tau + 1, 1))
-    oldest = 0
-    recorded = []
-    times = []
-    if transient == 0:
-        recorded.append(p.copy())
-        times.append(0)
-    prev_disp = np.inf
-    for t in range(1, steps + 1):
-        c_eff = base - beta * ring[oldest]
-        factors = (n - 1.0) + c_eff * (1.0 - p)
-        weights = p * factors
-        total = weights.sum()
-        if total <= 0.0 or np.any((p > 0.0) & (factors <= 0.0)):
-            _check_domain(p, factors, float(total), t)
-        new = weights / total
-        prev_disp = float(np.max(np.abs(new - p)))
-        p = new
-        ring[oldest] = p
-        oldest = (oldest + 1) % (tau + 1)
-        if t >= transient:
-            recorded.append(p.copy())
-            times.append(t)
-
+    _validate_run(p0, cfg, steps, transient)
+    tail, errors, disp = _run_delayed(p0.p, cfg.baseline(), np.array([float(cfg.beta)]),
+                                      cfg.tau, steps, steps - transient + 1)
+    if errors[0] is not None:
+        raise DomainViolationError(errors[0])
     return Trajectory(
-        states=tuple(SimplexState(q) for q in recorded),
-        times=tuple(times),
+        states=tuple(SimplexState(q) for q in tail[:, 0]),
+        times=tuple(range(transient, steps + 1)),
         steps_taken=steps,
-        converged=prev_disp < 1e-12,
-        final_residual=prev_disp,
+        converged=bool(disp[0] < 1e-12),
+        final_residual=float(disp[0]),
     )
 
 
@@ -239,6 +244,27 @@ def _dominant_pair_power(x: np.ndarray) -> float:
     return float(captured / total)
 
 
+def _classify_tail(
+    tail: np.ndarray, tol_fp: float, coordinate: int, period_rtol: float
+) -> RegimeReport:
+    """The regime of a tail array of shape (window, n); see classify_regime."""
+    window = tail.shape[0]
+    extrema = local_extrema(tail[:, coordinate])
+
+    diameter = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
+    if diameter < tol_fp:
+        return RegimeReport(REGIME_FIXED_POINT, None, np.array([tail[-1, coordinate]]))
+
+    tol_period = max(tol_fp, period_rtol * diameter)
+    for q in range(2, window // 2 + 1):
+        if float(np.max(np.abs(tail[q:] - tail[:-q]))) < tol_period:
+            return RegimeReport(REGIME_PERIODIC, q, extrema)
+
+    if _dominant_pair_power(tail[:, coordinate]) > 0.9:
+        return RegimeReport(REGIME_QUASI_PERIODIC, None, extrema)
+    return RegimeReport(REGIME_APERIODIC, None, extrema)
+
+
 def classify_regime(
     traj: Trajectory,
     tol_fp: float = DEFAULT_TOL_FP,
@@ -257,21 +283,7 @@ def classify_regime(
     """
     if len(traj.states) < window:
         raise ValueError(f"trajectory tail has {len(traj.states)} states, need >= {window}")
-    tail = traj.as_array()[-window:]
-    extrema = local_extrema(tail[:, coordinate])
-
-    diameter = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    if diameter < tol_fp:
-        return RegimeReport(REGIME_FIXED_POINT, None, np.array([tail[-1, coordinate]]))
-
-    tol_period = max(tol_fp, period_rtol * diameter)
-    for q in range(2, window // 2 + 1):
-        if float(np.max(np.abs(tail[q:] - tail[:-q]))) < tol_period:
-            return RegimeReport(REGIME_PERIODIC, q, extrema)
-
-    if _dominant_pair_power(tail[:, coordinate]) > 0.9:
-        return RegimeReport(REGIME_QUASI_PERIODIC, None, extrema)
-    return RegimeReport(REGIME_APERIODIC, None, extrema)
+    return _classify_tail(traj.as_array()[-window:], tol_fp, coordinate, period_rtol)
 
 
 @dataclass(frozen=True)
@@ -289,18 +301,6 @@ class BetaSample:
     error: Optional[str] = None
 
 
-def _sweep_one(args) -> BetaSample:
-    p0, cfg, beta, steps, transient, coordinate, tol_fp, window = args
-    run_cfg = replace(cfg, beta=float(beta))
-    window = min(window, steps - transient + 1)
-    try:
-        traj = simulate_delayed(p0, run_cfg, steps=steps, transient=transient)
-        report = classify_regime(traj, tol_fp=tol_fp, window=window, coordinate=coordinate)
-    except DomainViolationError as exc:
-        return BetaSample(float(beta), np.empty(0), "error", error=str(exc))
-    return BetaSample(float(beta), report.tail_extrema, report.regime, report.period)
-
-
 def beta_sweep(
     p0: SimplexState,
     cfg_template: DelayConfig,
@@ -310,20 +310,38 @@ def beta_sweep(
     coordinate: int = 0,
     tol_fp: float = DEFAULT_TOL_FP,
     window: int = DEFAULT_WINDOW,
-    workers: int = 1,
 ) -> list[BetaSample]:
     """Bifurcation-diagram sweep: per beta, the post-transient extrema of
-    one coordinate plus the regime label, ordered by beta.
+    one coordinate plus the regime label, in input order.
 
-    Every sample is an independent deterministic simulation; with
-    ``workers`` > 1 they run in a process pool, assembled in input order
-    either way.
+    All betas run as one batch of the delayed map, keeping only the last
+    ``window`` states of each (fewer when the post-transient run is
+    shorter).  Every sample equals a lone simulate_delayed run classified
+    by classify_regime; a domain violation at one beta becomes that
+    sample's ``error`` and the others are unaffected.
     """
-    jobs = [
-        (p0, cfg_template, float(b), steps, transient, coordinate, tol_fp, window)
-        for b in betas
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            return list(pool.map(_sweep_one, jobs))
-    return [_sweep_one(job) for job in jobs]
+    betas = np.array([float(b) for b in betas])
+    if betas.size == 0:
+        return []
+    if not np.all(betas >= 0.0):
+        raise ValueError(f"beta must be >= 0, got {betas[~(betas >= 0.0)][0]}")
+    _validate_run(p0, cfg_template, steps, transient)
+    window = min(window, steps - transient + 1)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+
+    tail, errors, _ = _run_delayed(p0.p, cfg_template.baseline(), betas,
+                                   cfg_template.tau, steps, window)
+    samples = []
+    for b, beta in enumerate(betas):
+        if errors[b] is not None:
+            samples.append(BetaSample(float(beta), np.empty(0), "error", error=errors[b]))
+            continue
+        # Laid out as a lone run's tail: every reduction sees the same order.
+        # Each state is divided by its own sum, so it sums to 1 well inside
+        # the 1e-15 within which SimplexState stores a state unchanged.
+        row = np.ascontiguousarray(tail[:, b])
+        report = _classify_tail(row, tol_fp, coordinate, PERIOD_RTOL)
+        samples.append(BetaSample(float(beta), report.tail_extrema, report.regime,
+                                  report.period))
+    return samples

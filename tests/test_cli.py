@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ class TestDelay:
         assert header == ["beta", "extremum"]
         assert len(rows) >= 4
         assert "fixed_point: 4" in capsys.readouterr().out
+
+    def test_threads_starts_no_process(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        code = run_cli(["delay", "--c", "0.9,0.85,0.95,0.8", "--tau", "30",
+                        "--p0", "0.25,0.26,0.24,0.25",
+                        "--sweep-beta", "0:1.0:3", "--steps", "3000",
+                        "--transient", "2000", "--threads", "3"])
+        assert code == 0
+        assert "fixed_point: 3" in capsys.readouterr().out
+
+    def test_threads_below_one_is_usage_error(self):
+        assert run_cli(["delay", "--c", "0.9,0.85,0.95,0.8", "--tau", "30",
+                        "--p0", "0.25,0.26,0.24,0.25", "--beta", "1.2",
+                        "--threads", "0"]) == 2
 
     def test_requires_exactly_one_mode(self):
         assert run_cli(["delay", "--c", "0.9,0.85,0.95,0.8", "--tau", "30",

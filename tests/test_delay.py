@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
+import simplexdyn.delay
 from simplexdyn import (
     DelayConfig,
+    DimensionError,
     DomainViolationError,
     Favorability,
-    HistoryBuffer,
+    IterationConfig,
     SimplexState,
     Trajectory,
     beta_sweep,
     classify_regime,
-    effective_c,
     find_fixed_point,
+    iterate,
     simulate_delayed,
     step,
-    step_delayed,
 )
 from simplexdyn.delay import GLOBAL_MAX, PER_COMPONENT, local_extrema
 
@@ -48,55 +49,10 @@ class TestDelayConfig:
             bench_config(1.0, mode=GLOBAL_MAX).baseline(), np.full(4, 0.95))
 
 
-class TestHistoryBuffer:
-    def test_warm_start_and_rotation(self):
-        a = SimplexState(np.array([0.5, 0.5]))
-        b = SimplexState(np.array([0.4, 0.6]))
-        c = SimplexState(np.array([0.3, 0.7]))
-        buf = HistoryBuffer(a, tau=2)
-        assert len(buf) == 3
-        assert buf.delayed is a and buf.current is a
-        buf.push(b)
-        buf.push(c)
-        assert buf.delayed is a and buf.current is c
-        buf.push(b)
-        assert buf.delayed is b  # the original prehistory has rolled off
-
-    def test_tau_zero_is_instantaneous(self):
-        a = SimplexState(np.array([0.5, 0.5]))
-        buf = HistoryBuffer(a, tau=0)
-        b = SimplexState(np.array([0.4, 0.6]))
-        buf.push(b)
-        assert buf.delayed is b and buf.current is b
-
-
-class TestEffectiveC:
-    def test_feedback_off_returns_baseline(self):
-        buf = HistoryBuffer(SimplexState(BENCH_P0), tau=5)
-        np.testing.assert_array_equal(effective_c(buf, bench_config(0.0)), BENCH_C)
-
-    def test_hand_value_per_component(self):
-        buf = HistoryBuffer(SimplexState(np.full(4, 0.25)), tau=3)
-        cfg = bench_config(1.2)
-        np.testing.assert_allclose(effective_c(buf, cfg), [0.6, 0.55, 0.65, 0.5],
-                                   atol=1e-15)
-
-    def test_uses_delayed_share_not_current(self):
-        old = SimplexState(np.array([0.7, 0.3]))
-        cfg = DelayConfig(Favorability(np.array([0.9, 0.9])), beta=1.0, tau=1)
-        buf = HistoryBuffer(old, tau=1)
-        buf.push(SimplexState(np.array([0.2, 0.8])))
-        np.testing.assert_allclose(effective_c(buf, cfg), [0.9 - 0.7, 0.9 - 0.3],
-                                   atol=1e-15)
-
-    def test_values_may_go_negative(self):
-        buf = HistoryBuffer(SimplexState(np.array([0.9, 0.1])), tau=0)
-        cfg = DelayConfig(Favorability(np.array([0.5, 0.5])), beta=2.0, tau=0)
-        assert effective_c(buf, cfg)[0] < 0
-
-
-class TestStepDelayed:
-    def test_beta_zero_is_exactly_the_static_step(self):
+class TestSimulateDelayed:
+    def test_beta_zero_is_exactly_the_static_map(self):
+        # Same kernel as iterate (normalized by the weight sum) step for step;
+        # dynamics.step normalizes analytically, equal up to roundoff.
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(2, 6))
@@ -104,31 +60,58 @@ class TestStepDelayed:
             c = Favorability(rng.uniform(0.05, 1.0, n))
             cfg = DelayConfig(c, beta=0.0, tau=int(rng.integers(0, 5)),
                               baseline_mode=PER_COMPONENT)
-            np.testing.assert_array_equal(
-                step_delayed(HistoryBuffer(p, cfg.tau), cfg).p, step(p, c).p)
+            delayed = simulate_delayed(p, cfg, steps=5, transient=0)
+            static = iterate(p, c, IterationConfig(max_steps=5, tol=1e-300, record_every=1))
+            np.testing.assert_array_equal(delayed.as_array(), static.as_array())
+            np.testing.assert_allclose(delayed.states[1].p, step(p, c).p, rtol=0, atol=1e-15)
+
+    def test_effective_c_hand_value_per_component(self):
+        # From the uniform start c_eff = c - 1.2 * 0.25 = (0.6, 0.55, 0.65, 0.5).
+        traj = simulate_delayed(SimplexState(np.full(4, 0.25)), bench_config(1.2, tau=3),
+                                steps=1, transient=0)
+        weights = 0.25 * (3.0 + np.array([0.6, 0.55, 0.65, 0.5]) * 0.75)
+        np.testing.assert_allclose(traj.states[1].p, weights / weights.sum(),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_feedback_reads_the_share_tau_steps_back(self, tau):
+        # c_eff(t) = 0.9 - p(t - tau), prehistory held at p(0): with tau=1
+        # both steps feel p(0); with tau=0 the second feels p(1).
+        p0 = np.array([0.7, 0.3])
+        cfg = DelayConfig(Favorability(np.array([0.9, 0.9])), beta=1.0, tau=tau,
+                          baseline_mode=PER_COMPONENT)
+        traj = simulate_delayed(SimplexState(p0), cfg, steps=2, transient=0)
+
+        def by_hand(p, delayed):
+            w = p * (1.0 + (0.9 - delayed) * (1.0 - p))
+            return w / w.sum()
+
+        p1 = by_hand(p0, p0)
+        p2 = by_hand(p1, p0 if tau == 1 else p1)
+        np.testing.assert_allclose(traj.as_array(), [p0, p1, p2], rtol=0, atol=1e-15)
+        assert abs(by_hand(p1, p1)[0] - by_hand(p1, p0)[0]) > 1e-3
 
     def test_vertex_stays_put(self):
         vertex = SimplexState(np.array([0.0, 1.0, 0.0, 0.0]))
-        out = step_delayed(HistoryBuffer(vertex, 4), bench_config(1.2))
-        np.testing.assert_array_equal(out.p, vertex.p)
+        traj = simulate_delayed(vertex, bench_config(1.2, tau=4), steps=50, transient=0)
+        np.testing.assert_array_equal(traj.as_array(), np.tile(vertex.p, (51, 1)))
 
-    def test_simplex_conservation(self):
+    def test_one_step_simplex_conservation(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             p = SimplexState(rng.dirichlet(np.ones(4)))
-            out = step_delayed(HistoryBuffer(p, 2), bench_config(rng.uniform(0, 3)))
+            cfg = bench_config(rng.uniform(0, 3), tau=2)
+            out = simulate_delayed(p, cfg, steps=1, transient=0).final
             assert abs(out.p.sum() - 1.0) < 1e-12
             assert np.all(out.p >= 0)
 
-    def test_domain_violation_names_component(self):
+    def test_domain_violation_names_component_and_step(self):
         # 3 + (0.9 - 50*0.5) * 0.5 is well below zero
         skew = SimplexState(np.array([0.5, 0.3, 0.1, 0.1]))
-        cfg = bench_config(50.0)
-        with pytest.raises(DomainViolationError, match="component 1"):
-            step_delayed(HistoryBuffer(skew, 2), cfg)
+        with pytest.raises(DomainViolationError,
+                           match=r"^nonpositive multiplier for component 1 at step 1 "):
+            simulate_delayed(skew, bench_config(50.0, tau=2), steps=10, transient=0)
 
-
-class TestSimulateDelayed:
     def test_beta_zero_reduces_to_static_fixed_point(self):
         cfg = bench_config(0.0)
         traj = simulate_delayed(SimplexState(BENCH_P0), cfg, steps=5000, transient=4000)
@@ -237,12 +220,74 @@ class TestBetaSweep:
         assert samples[1].error is not None
         assert samples[2].regime == "fixed_point"
 
-    def test_parallel_matches_serial(self):
-        betas = [0.4, 0.8, 1.2, 1.6]
-        cfg = bench_config(0.0, mode=GLOBAL_MAX)
+    @staticmethod
+    def single(p0, cfg, beta, steps, transient, window=2000):
+        """A lone run classified the way the sweep classifies it."""
+        run = DelayConfig(cfg.c_base, beta, cfg.tau, cfg.baseline_mode)
+        try:
+            traj = simulate_delayed(p0, run, steps=steps, transient=transient)
+        except DomainViolationError as exc:
+            return None, str(exc)
+        return classify_regime(traj, window=min(window, len(traj.states))), None
+
+    def assert_sample_is_single_run(self, sample, p0, cfg, steps, transient, window=2000):
+        report, error = self.single(p0, cfg, sample.beta, steps, transient, window)
+        assert sample.error == error
+        if error is None:
+            assert (sample.regime, sample.period) == (report.regime, report.period)
+            np.testing.assert_array_equal(sample.extrema, report.tail_extrema)
+        else:
+            assert sample.regime == "error" and sample.extrema.size == 0
+
+    def test_batched_rows_equal_single_runs(self):
+        rng = np.random.default_rng(7)
+        for tau in (0, 1, 30):
+            for n in (2, 4, 7):
+                p0 = SimplexState(rng.dirichlet(np.ones(n)))
+                cfg = DelayConfig(Favorability(rng.uniform(0.5, 1.0, n)), beta=0.0, tau=tau,
+                                  baseline_mode=PER_COMPONENT)
+                betas = [0.0, *rng.uniform(0.0, 2.5, 4)]
+                samples = beta_sweep(p0, cfg, betas, steps=800, transient=500, window=300)
+                assert [s.beta for s in samples] == betas
+                for s in samples:
+                    self.assert_sample_is_single_run(s, p0, cfg, 800, 500, window=300)
+
+    def test_failed_row_leaves_its_neighbours_alone(self):
         p0 = SimplexState(BENCH_P0)
-        serial = beta_sweep(p0, cfg, betas, steps=3000, transient=2000)
-        parallel = beta_sweep(p0, cfg, betas, steps=3000, transient=2000, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.regime == b.regime
+        cfg = bench_config(0.0, mode=GLOBAL_MAX)
+        steady = [1.2, 1.6, 3.0]
+        with np.errstate(all="raise"):
+            mixed = beta_sweep(p0, cfg, [1.2, 1.6, 4.5, 3.0], steps=3000, transient=2000)
+        alone = beta_sweep(p0, cfg, steady, steps=3000, transient=2000)
+        failed = mixed.pop(2)
+        assert failed.regime == "error"
+        assert 1 < int(failed.error.split("at step ")[1].split()[0]) < 3000
+        self.assert_sample_is_single_run(failed, p0, cfg, 3000, 2000)
+        for a, b in zip(mixed, alone):
+            assert (a.beta, a.regime, a.period) == (b.beta, b.regime, b.period)
             np.testing.assert_array_equal(a.extrema, b.extrema)
+            self.assert_sample_is_single_run(a, p0, cfg, 3000, 2000)
+
+    def test_empty_beta_list(self):
+        assert beta_sweep(SimplexState(BENCH_P0), bench_config(0.0), []) == []
+
+    def test_bad_arguments_raise_before_stepping(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the delayed map ran")
+
+        monkeypatch.setattr(simplexdyn.delay, "_run_delayed", no_run)
+        p0 = SimplexState(BENCH_P0)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            beta_sweep(p0, bench_config(0.0), [0.5, -0.1], steps=100, transient=50)
+        with pytest.raises(DimensionError):
+            beta_sweep(SimplexState(np.full(3, 1 / 3)), bench_config(0.0), [0.5],
+                       steps=100, transient=50)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            beta_sweep(p0, bench_config(0.0), [0.5], steps=100, transient=50, window=0)
+
+    def test_window_clamped_to_the_post_transient_run(self):
+        p0 = SimplexState(BENCH_P0)
+        cfg = bench_config(0.0, mode=GLOBAL_MAX)
+        samples = beta_sweep(p0, cfg, [1.2, 1.8], steps=3000, transient=2900, window=2000)
+        for s in samples:
+            self.assert_sample_is_single_run(s, p0, cfg, 3000, 2900, window=101)
