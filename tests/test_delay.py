@@ -49,8 +49,85 @@ class TestDelayConfig:
             bench_config(1.0, mode=GLOBAL_MAX).baseline(), np.full(4, 0.95))
 
 
-class TestSimulateDelayed:
-    def test_beta_zero_is_exactly_the_static_map(self):
+def delayed_step_by_hand(p, c, beta, delayed):
+    """One step of the delayed map: weights p_i ((n-1) + (c_i - beta q_i)(1 - p_i))."""
+    w = p * (len(p) - 1.0 + (c - beta * delayed) * (1.0 - p))
+    return w / w.sum()
+
+
+class TestHistoryBuffer:
+    """The delay ring of simulate_delayed: prehistory held at p(0), then p(t - tau)."""
+
+    def test_warm_start_and_rotation(self):
+        # tau=2: steps from t=0, 1, 2 read p(-2), p(-1), p(0), all the
+        # prehistory p(0); the step from t=3 reads p(1), once it rolled off.
+        c = np.array([0.9, 0.9])
+        p0 = np.array([0.7, 0.3])
+        cfg = DelayConfig(Favorability(c), beta=1.0, tau=2, baseline_mode=PER_COMPONENT)
+        traj = simulate_delayed(SimplexState(p0), cfg, steps=4, transient=0)
+        hand = [p0]
+        for t in range(4):
+            hand.append(delayed_step_by_hand(hand[t], c, 1.0, hand[max(t - 2, 0)]))
+        np.testing.assert_allclose(traj.as_array(), hand, rtol=0, atol=1e-15)
+        stale = delayed_step_by_hand(hand[3], c, 1.0, p0)
+        assert abs(stale[0] - hand[4][0]) > 1e-3
+
+    def test_tau_zero_is_instantaneous(self):
+        c = np.array([0.9, 0.9])
+        p0 = np.array([0.7, 0.3])
+        cfg = DelayConfig(Favorability(c), beta=1.0, tau=0, baseline_mode=PER_COMPONENT)
+        traj = simulate_delayed(SimplexState(p0), cfg, steps=3, transient=0)
+        hand = [p0]
+        for t in range(3):
+            hand.append(delayed_step_by_hand(hand[t], c, 1.0, hand[t]))
+        np.testing.assert_allclose(traj.as_array(), hand, rtol=0, atol=1e-15)
+
+
+class TestEffectiveC:
+    """c_eff = baseline - beta * p(t - tau), as simulate_delayed applies it."""
+
+    def test_feedback_off_returns_baseline(self):
+        cfg = bench_config(0.0, tau=5)
+        traj = simulate_delayed(SimplexState(BENCH_P0), cfg, steps=20, transient=0)
+        static = iterate(SimplexState(BENCH_P0), Favorability(BENCH_C),
+                         IterationConfig(max_steps=20, tol=1e-300, record_every=1))
+        np.testing.assert_array_equal(traj.as_array(), static.as_array())
+
+    def test_hand_value_per_component(self):
+        # From the uniform start c_eff = c - 1.2 * 0.25 = (0.6, 0.55, 0.65, 0.5).
+        traj = simulate_delayed(SimplexState(np.full(4, 0.25)), bench_config(1.2, tau=3),
+                                steps=1, transient=0)
+        weights = 0.25 * (3.0 + np.array([0.6, 0.55, 0.65, 0.5]) * 0.75)
+        np.testing.assert_allclose(traj.states[1].p, weights / weights.sum(),
+                                   rtol=0, atol=1e-15)
+
+    def test_uses_delayed_share_not_current(self):
+        # tau=1: the step from t=1 feels p(0) = (0.7, 0.3), not p(1).
+        c = np.array([0.9, 0.9])
+        p0 = np.array([0.7, 0.3])
+        cfg = DelayConfig(Favorability(c), beta=1.0, tau=1, baseline_mode=PER_COMPONENT)
+        traj = simulate_delayed(SimplexState(p0), cfg, steps=2, transient=0)
+        p1 = delayed_step_by_hand(p0, c, 1.0, p0)
+        p2 = delayed_step_by_hand(p1, c, 1.0, p0)
+        np.testing.assert_allclose(traj.as_array(), [p0, p1, p2], rtol=0, atol=1e-15)
+        assert abs(delayed_step_by_hand(p1, c, 1.0, p1)[0] - p2[0]) > 1e-3
+
+    def test_values_may_go_negative(self):
+        # c_eff = 0.5 - 2 * (0.9, 0.1) = (-1.3, 0.3): the map takes the
+        # negative value as it is, the factor 1 - 1.3 * 0.1 stays positive.
+        p0 = np.array([0.9, 0.1])
+        cfg = DelayConfig(Favorability(np.array([0.5, 0.5])), beta=2.0, tau=0,
+                          baseline_mode=PER_COMPONENT)
+        out = simulate_delayed(SimplexState(p0), cfg, steps=1, transient=0).final.p
+        weights = p0 * (1.0 + np.array([-1.3, 0.3]) * (1.0 - p0))
+        np.testing.assert_allclose(out, weights / weights.sum(), rtol=0, atol=1e-15)
+        assert weights[0] < p0[0]
+
+
+class TestStepDelayed:
+    """One step of the delayed map, run as simulate_delayed(steps=1)."""
+
+    def test_beta_zero_is_exactly_the_static_step(self):
         # Same kernel as iterate (normalized by the weight sum) step for step;
         # dynamics.step normalizes analytically, equal up to roundoff.
         rng = np.random.default_rng(0)
@@ -65,38 +142,12 @@ class TestSimulateDelayed:
             np.testing.assert_array_equal(delayed.as_array(), static.as_array())
             np.testing.assert_allclose(delayed.states[1].p, step(p, c).p, rtol=0, atol=1e-15)
 
-    def test_effective_c_hand_value_per_component(self):
-        # From the uniform start c_eff = c - 1.2 * 0.25 = (0.6, 0.55, 0.65, 0.5).
-        traj = simulate_delayed(SimplexState(np.full(4, 0.25)), bench_config(1.2, tau=3),
-                                steps=1, transient=0)
-        weights = 0.25 * (3.0 + np.array([0.6, 0.55, 0.65, 0.5]) * 0.75)
-        np.testing.assert_allclose(traj.states[1].p, weights / weights.sum(),
-                                   rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("tau", [0, 1])
-    def test_feedback_reads_the_share_tau_steps_back(self, tau):
-        # c_eff(t) = 0.9 - p(t - tau), prehistory held at p(0): with tau=1
-        # both steps feel p(0); with tau=0 the second feels p(1).
-        p0 = np.array([0.7, 0.3])
-        cfg = DelayConfig(Favorability(np.array([0.9, 0.9])), beta=1.0, tau=tau,
-                          baseline_mode=PER_COMPONENT)
-        traj = simulate_delayed(SimplexState(p0), cfg, steps=2, transient=0)
-
-        def by_hand(p, delayed):
-            w = p * (1.0 + (0.9 - delayed) * (1.0 - p))
-            return w / w.sum()
-
-        p1 = by_hand(p0, p0)
-        p2 = by_hand(p1, p0 if tau == 1 else p1)
-        np.testing.assert_allclose(traj.as_array(), [p0, p1, p2], rtol=0, atol=1e-15)
-        assert abs(by_hand(p1, p1)[0] - by_hand(p1, p0)[0]) > 1e-3
-
     def test_vertex_stays_put(self):
         vertex = SimplexState(np.array([0.0, 1.0, 0.0, 0.0]))
         traj = simulate_delayed(vertex, bench_config(1.2, tau=4), steps=50, transient=0)
         np.testing.assert_array_equal(traj.as_array(), np.tile(vertex.p, (51, 1)))
 
-    def test_one_step_simplex_conservation(self):
+    def test_simplex_conservation(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             p = SimplexState(rng.dirichlet(np.ones(4)))
@@ -105,13 +156,15 @@ class TestSimulateDelayed:
             assert abs(out.p.sum() - 1.0) < 1e-12
             assert np.all(out.p >= 0)
 
-    def test_domain_violation_names_component_and_step(self):
+    def test_domain_violation_names_component(self):
         # 3 + (0.9 - 50*0.5) * 0.5 is well below zero
         skew = SimplexState(np.array([0.5, 0.3, 0.1, 0.1]))
         with pytest.raises(DomainViolationError,
                            match=r"^nonpositive multiplier for component 1 at step 1 "):
             simulate_delayed(skew, bench_config(50.0, tau=2), steps=10, transient=0)
 
+
+class TestSimulateDelayed:
     def test_beta_zero_reduces_to_static_fixed_point(self):
         cfg = bench_config(0.0)
         traj = simulate_delayed(SimplexState(BENCH_P0), cfg, steps=5000, transient=4000)
