@@ -5,8 +5,8 @@ its favorability crosses the survival threshold of the remaining set; in
 parameter space these crossings are transcritical bifurcation hypersurfaces.
 This module provides the codimension-one critical value, the four-region
 codimension-two classifier, the general classifier backed by the
-equilibrium solver, and 1-D/2-D scan generators with bisection refinement
-of detected thresholds.
+water-filling kernel, and 1-D/2-D scans that label all their points in one
+array pass, with bisection refinement of detected 1-D thresholds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, Favorability, SimplexState
-from .equilibrium import find_fixed_point
+from .equilibrium import _report, _water_fill, find_fixed_point
 from .stability import classify
 
 # Points within this relative distance of a region boundary are labeled
@@ -26,6 +26,9 @@ BOUNDARY_GUARD = 1e-12
 
 # Bisection tolerance for refined critical parameter values.
 REFINE_TOL = 1e-10
+
+# Grid cells per water-filling call, which bounds the kernel's temporaries.
+_SCAN_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,25 @@ def critical_value(i: int, c_others: np.ndarray) -> CriticalValue:
     return CriticalValue(value=value, precondition_ok=ok)
 
 
-def _near(a: float, b: float) -> bool:
-    return abs(a - b) <= BOUNDARY_GUARD * max(abs(a), abs(b), 1.0)
+def _near(a: np.ndarray, b: float) -> np.ndarray:
+    return np.abs(a - b) <= BOUNDARY_GUARD * np.maximum(np.maximum(np.abs(a), abs(b)), 1.0)
+
+
+_CODIM2_REGIONS = (((), "all components persist"), ((0,), "component 1 collapses"),
+                   ((1,), "component 2 collapses"), ((0, 1), "components 1 and 2 collapse"))
+
+
+def _codim2_regions(c1: np.ndarray, c2: np.ndarray, s: float, n: int):
+    """Array form of classify_codim2: an index into _CODIM2_REGIONS and a
+    critical flag for every (c1, c2) pair, given S = sum of 1/c_rest."""
+    g1, g2 = c1 * (1.0 / c2 + s), c2 * (1.0 / c1 + s)  # vs n-2: Gamma1, Gamma2
+    t1, t2 = c1 * s, c2 * s                            # vs n-3
+    on_g1, on_g2 = _near(g1, n - 2.0), _near(g2, n - 2.0)
+    on_t1, on_t2 = _near(t1, n - 3.0), _near(t2, n - 3.0)
+    both = ((t1 <= n - 3.0) | on_t1) & ((t2 <= n - 3.0) | on_t2)
+    region = np.where(both, 3, np.where((g1 < n - 2.0) | on_g1, 1,
+                                        np.where((g2 < n - 2.0) | on_g2, 2, 0)))
+    return region, on_g1 | on_g2 | on_t1 | on_t2
 
 
 def classify_codim2(c1: float, c2: float, c_rest: np.ndarray) -> RegionLabel:
@@ -95,6 +115,12 @@ def classify_codim2(c1: float, c2: float, c_rest: np.ndarray) -> RegionLabel:
     component 1 collapsed, component 2 collapsed, and both collapsed
     (the latter exactly when both c's sit at or below (n-3)/S).  Points on
     a boundary curve get the adjacent zero-side label with ``critical``.
+
+    The regions assume that every fixed component survives, which the
+    sub-simplex condition checked here does not guarantee: at
+    c = (1.5, 1.5, 1.0461, 0.5609) this says "all persist" while the limit
+    state (and classify_codimk) has p_4 = 0.  Only the two varied
+    components are classified.
     """
     rest = np.asarray(c_rest, dtype=float)
     n = rest.size + 2
@@ -109,45 +135,36 @@ def classify_codim2(c1: float, c2: float, c_rest: np.ndarray) -> RegionLabel:
                 f"fixed components must satisfy the sub-simplex condition; "
                 f"c_rest[{k}]={rest[k]} <= {(n - 3) / s}"
             )
+    region, critical = _codim2_regions(np.array([c1], dtype=float), np.array([c2], dtype=float), s, n)
+    return RegionLabel(*_CODIM2_REGIONS[int(region[0])], bool(critical[0]))
 
-    g1 = c1 * (1.0 / c2 + s)  # vs n-2, Gamma1
-    g2 = c2 * (1.0 / c1 + s)  # vs n-2, Gamma2
-    t1 = c1 * s               # vs n-3
-    t2 = c2 * s               # vs n-3
-    on_g1 = _near(g1, n - 2.0)
-    on_g2 = _near(g2, n - 2.0)
-    on_t1 = _near(t1, n - 3.0)
-    on_t2 = _near(t2, n - 3.0)
-    critical = on_g1 or on_g2 or on_t1 or on_t2
 
-    if (t1 <= n - 3.0 or on_t1) and (t2 <= n - 3.0 or on_t2):
-        return RegionLabel((0, 1), "components 1 and 2 collapse", critical)
-    if g1 < n - 2.0 or on_g1:
-        return RegionLabel((0,), "component 1 collapses", critical)
-    if g2 < n - 2.0 or on_g2:
-        return RegionLabel((1,), "component 2 collapses", critical)
-    return RegionLabel((), "all components persist", critical)
+def _codimk_labels(c: np.ndarray) -> list[RegionLabel]:
+    """classify_codimk for every row of the (B, n) array ``c``."""
+    alive, lam, critical = _water_fill(c)
+    wrong = ~alive & (c > lam[:, None]) & ~critical
+    if wrong.any():
+        r, i = np.argwhere(wrong)[0]
+        raise AssertionError(f"inconsistent classification: c[{i}]={c[r, i]} > threshold {lam[r]}")
+    keys, inverse = np.unique(np.column_stack([alive, critical.any(axis=1)]), axis=0,
+                              return_inverse=True)
+    labels = []
+    for key in keys:
+        zero = tuple(np.flatnonzero(~key[:-1]).tolist())
+        desc = ("components " + ",".join(str(i + 1) for i in zero) + " collapse"
+                if zero else "all components persist")
+        labels.append(RegionLabel(zero, desc, bool(key[-1])))
+    return [labels[k] for k in inverse.ravel().tolist()]
 
 
 def classify_codimk(fav: Favorability) -> RegionLabel:
     """General region label: the collapsed set from an interior start.
 
-    Delegates to the equilibrium solver and checks the self-consistency
-    inequalities of the resulting split (c_i at or below the threshold of
-    the surviving set for every collapsed i).
+    Water-fills the constants and checks the self-consistency inequalities
+    of the resulting split (c_i at or below the threshold of the surviving
+    set for every collapsed i that is not critical).
     """
-    report = find_fixed_point(SimplexState.uniform(fav.n), fav)
-    zero = report.zero_set()
-    lam = report.lambda_value
-    for i in zero:
-        if fav.c[i] > lam and i not in report.critical_indices:
-            raise AssertionError(
-                f"inconsistent classification: c[{i}]={fav.c[i]} > threshold {lam}"
-            )
-    desc = "all components persist" if not zero else (
-        "components " + ",".join(str(i + 1) for i in zero) + " collapse"
-    )
-    return RegionLabel(zero, desc, critical=bool(report.critical_indices))
+    return _codimk_labels(fav.c[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -190,15 +207,10 @@ class ScanResult2D:
     gamma2: np.ndarray
 
 
-def _with_value(c_base: np.ndarray, i: int, value: float) -> Favorability:
+def _zero_set_at(c_base: np.ndarray, i: int, value: float) -> tuple[int, ...]:
     c = np.array(c_base, dtype=float)
     c[i] = value
-    return Favorability(c)
-
-
-def _zero_set_at(c_base: np.ndarray, i: int, value: float) -> tuple[int, ...]:
-    report = find_fixed_point(SimplexState.uniform(c_base.size), _with_value(c_base, i, value))
-    return report.zero_set()
+    return find_fixed_point(SimplexState.uniform(c.size), Favorability(c)).zero_set()
 
 
 def _refine_crossing(c_base: np.ndarray, i: int, lo: float, hi: float) -> float:
@@ -223,8 +235,8 @@ def scan_1d(
 ) -> ScanResult1D:
     """Sweep favorability i over [lo, hi] and track the limit state.
 
-    Each sample's equilibrium comes from the analytic solver (simulation
-    near a threshold is pathologically slow, the analytic point is exact);
+    All samples are solved in one water-filling pass (simulation near a
+    threshold is pathologically slow, the analytic point is exact);
     detected changes of the collapsed set are refined by bisection.
     """
     if not (lo < hi):
@@ -238,10 +250,15 @@ def scan_1d(
         raise DimensionError(f"index {i} out of range for n={base.size}")
 
     values = np.linspace(lo, hi, steps)
+    c = np.tile(base, (steps, 1))
+    c[:, i] = values
+    Favorability(c[0])  # validates the fixed components
+    alive, lam, critical = _water_fill(c)
+    shares = np.where(alive, 1.0 - lam[:, None] / c, 0.0)
     samples = []
-    for v in values:
-        fav = _with_value(base, i, float(v))
-        report = find_fixed_point(SimplexState.uniform(base.size), fav)
+    for k, v in enumerate(values):
+        fav = Favorability(c[k])
+        report = _report(fav, shares[k], float(lam[k]), critical[k])
         verdict = classify(report, fav).verdict if classify_samples else ""
         samples.append(ScanSample(
             c_value=float(v),
@@ -264,12 +281,9 @@ def scan_1d(
 
 def _gamma_curve(values: np.ndarray, s: float, n: int, lo: float, hi: float) -> np.ndarray:
     """Points of c_a (1/c_b + S) = n-2 sampled along the c_b axis."""
-    pts = []
-    for cb in values:
-        ca = (n - 2.0) / (1.0 / cb + s)
-        if lo <= ca <= hi:
-            pts.append((ca, cb))
-    return np.array(pts) if pts else np.empty((0, 2))
+    ca = (n - 2.0) / (1.0 / values + s)
+    inside = (lo <= ca) & (ca <= hi)
+    return np.column_stack([ca[inside], values[inside]])
 
 
 def scan_2d(
@@ -282,11 +296,12 @@ def scan_2d(
 ) -> ScanResult2D:
     """Label a (c_i, c_j) grid by which components collapse.
 
-    Uses the four-region codimension-two classifier when its preconditions
-    hold (n >= 4 with admissible fixed components) and the general
-    classifier otherwise; cell evaluations are independent and assembled
-    in grid order, so the result is deterministic regardless of execution
-    order.
+    Uses the four-region codimension-two rule when its preconditions hold
+    (n >= 4 with admissible fixed components) and the general classifier
+    otherwise.  Either way the grid is labelled in array passes that share
+    a few RegionLabel objects instead of building one per cell.  The
+    four-region rule takes the fixed components to survive, which can fail
+    (see classify_codim2): there it labels only the varied pair.
     """
     if i == j:
         raise ValueError("scan indices must differ")
@@ -299,36 +314,29 @@ def scan_2d(
     if not (0 <= i < n and 0 <= j < n):
         raise DimensionError(f"indices ({i}, {j}) out of range for n={n}")
 
-    rest_idx = [k for k in range(n) if k not in (i, j)]
-    rest = base[rest_idx]
-    s = float(np.sum(1.0 / rest))
-    use_codim2 = n >= 4 and bool(np.all(rest > (n - 3) / s))
-
     values = np.linspace(lo, hi, steps)
-    labels = []
-    for vi in values:
-        row = []
-        for vj in values:
-            if use_codim2:
-                raw = classify_codim2(float(vi), float(vj), rest)
-                zero = tuple(sorted((i, j)[k] for k in raw.zero_set))
-                row.append(RegionLabel(zero, raw.description, raw.critical))
-            else:
-                c = np.array(base)
-                c[i], c[j] = vi, vj
-                row.append(classify_codimk(Favorability(c)))
-        labels.append(tuple(row))
-
-    curve = _gamma_curve(values, s, n, lo, hi)
-    gamma1 = curve                                            # (c_i, c_j) pairs
-    gamma2 = curve[:, ::-1].copy() if curve.size else np.empty((0, 2))
-
+    vi, vj = np.repeat(values, steps), np.tile(values, steps)  # row-major cells
+    rest = np.delete(base, [i, j])
+    Favorability(np.append(rest, [lo, lo]))  # validates the fixed components
+    s = float(np.sum(1.0 / rest))
+    if n >= 4 and np.all(rest > (n - 3) / s):
+        region, critical = _codim2_regions(vi, vj, s, n)
+        table = [RegionLabel(tuple(sorted((i, j)[k] for k in zero)), desc, flag)
+                 for flag in (False, True) for zero, desc in _CODIM2_REGIONS]
+        flat = [table[k] for k in (region + 4 * critical).tolist()]
+    else:
+        flat = []
+        for start in range(0, vi.size, _SCAN_CHUNK):
+            c = np.tile(base, (vi[start:start + _SCAN_CHUNK].size, 1))
+            c[:, i], c[:, j] = vi[start:start + _SCAN_CHUNK], vj[start:start + _SCAN_CHUNK]
+            flat += _codimk_labels(c)
+    curve = _gamma_curve(values, s, n, lo, hi)  # (c_i, c_j) pairs on Gamma1
     return ScanResult2D(
         index_i=i,
         index_j=j,
         values_i=values,
         values_j=values,
-        labels=tuple(labels),
-        gamma1=gamma1,
-        gamma2=gamma2,
+        labels=tuple(tuple(flat[a:a + steps]) for a in range(0, steps * steps, steps)),
+        gamma1=curve,
+        gamma2=curve[:, ::-1].copy(),
     )

@@ -460,27 +460,29 @@ def _cmd_scan1d(args, parser) -> int:
         "c": [None if v is None else v for v in args.c],
     })
     if args.out:
-        n = base.size
-        header = ["c_value"] + [f"p_{k + 1}" for k in range(n)] + ["zero_set", "verdict"]
-        rows = [
-            [s.c_value, *s.p_inf, ";".join(str(z + 1) for z in s.zero_set), s.verdict]
-            for s in result.samples
-        ]
-        data = {
-            "parameter_index": args.vary,
-            "samples": [
-                {
-                    "c_value": s.c_value,
-                    "p_inf": [float(v) for v in s.p_inf],
-                    "zero_set": _one_based(s.zero_set),
-                    "verdict": s.verdict,
-                }
+        if args.format == "json":
+            _write_json(args.out, manifest, {
+                "parameter_index": args.vary,
+                "samples": [
+                    {
+                        "c_value": s.c_value,
+                        "p_inf": [float(v) for v in s.p_inf],
+                        "zero_set": _one_based(s.zero_set),
+                        "verdict": s.verdict,
+                    }
+                    for s in result.samples
+                ],
+                "critical_values": list(result.critical_values),
+            })
+        else:
+            n = base.size
+            header = ["c_value"] + [f"p_{k + 1}" for k in range(n)] + ["zero_set", "verdict"]
+            rows = [
+                [s.c_value, *s.p_inf, ";".join(str(z + 1) for z in s.zero_set), s.verdict]
                 for s in result.samples
-            ],
-            "critical_values": list(result.critical_values),
-        }
-        _write_output(args.out, args.format, manifest, header, rows, data,
-                      {"critical_values": list(result.critical_values)})
+            ]
+            _write_csv(args.out, manifest, header, rows,
+                       {"critical_values": list(result.critical_values)})
         print(f"wrote {args.out}")
     if args.svg:
         xs = np.array([s.c_value for s in result.samples])
@@ -512,27 +514,29 @@ def _cmd_scan2d(args, parser) -> int:
         "c": [None if v is None else v for v in args.c],
     })
     if args.out:
-        header = [f"c_{args.vary[0]}", f"c_{args.vary[1]}", "zero_set", "critical"]
-        rows = []
-        for a, vi in enumerate(result.values_i):
-            for b, vj in enumerate(result.values_j):
-                label = result.labels[a][b]
-                rows.append([
-                    vi, vj,
-                    ";".join(str(z + 1) for z in label.zero_set),
-                    int(label.critical),
-                ])
-        data = {
-            "values_i": [float(v) for v in result.values_i],
-            "values_j": [float(v) for v in result.values_j],
-            "labels": [
-                [{"zero_set": _one_based(l.zero_set), "critical": l.critical} for l in row]
-                for row in result.labels
-            ],
-            "gamma1": [[float(a), float(b)] for a, b in result.gamma1],
-            "gamma2": [[float(a), float(b)] for a, b in result.gamma2],
-        }
-        _write_output(args.out, args.format, manifest, header, rows, data)
+        if args.format == "json":
+            _write_json(args.out, manifest, {
+                "values_i": [float(v) for v in result.values_i],
+                "values_j": [float(v) for v in result.values_j],
+                "labels": [
+                    [{"zero_set": _one_based(l.zero_set), "critical": l.critical} for l in row]
+                    for row in result.labels
+                ],
+                "gamma1": [[float(a), float(b)] for a, b in result.gamma1],
+                "gamma2": [[float(a), float(b)] for a, b in result.gamma2],
+            })
+        else:
+            header = [f"c_{args.vary[0]}", f"c_{args.vary[1]}", "zero_set", "critical"]
+            rows = []
+            for a, vi in enumerate(result.values_i):
+                for b, vj in enumerate(result.values_j):
+                    label = result.labels[a][b]
+                    rows.append([
+                        vi, vj,
+                        ";".join(str(z + 1) for z in label.zero_set),
+                        int(label.critical),
+                    ])
+            _write_csv(args.out, manifest, header, rows)
         print(f"wrote {args.out}")
     return 0
 

@@ -45,6 +45,8 @@ REGIME_APERIODIC = "aperiodic"
 # phase-portrait resolution; exact recurrence below tol_fp is still
 # accepted for analytically locked orbits.
 PERIOD_RTOL = 0.02
+# Rows compared before the full-window recurrence test of each period.
+_PERIOD_SCREEN = 64
 
 # Defaults tuned for the four-component benchmark configuration.
 DEFAULT_TOL_FP = 1e-8
@@ -257,6 +259,10 @@ def _classify_tail(
 
     tol_period = max(tol_fp, period_rtol * diameter)
     for q in range(2, window // 2 + 1):
+        # A prefix mismatch bounds the full one from below: screen first.
+        head = min(_PERIOD_SCREEN, window - q)
+        if float(np.max(np.abs(tail[q:q + head] - tail[:head]))) >= tol_period:
+            continue
         if float(np.max(np.abs(tail[q:] - tail[:-q]))) < tol_period:
             return RegimeReport(REGIME_PERIODIC, q, extrema)
 

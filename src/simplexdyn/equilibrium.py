@@ -1,12 +1,15 @@
-"""Analytic fixed points: closed forms and the active-set algorithm.
+"""Analytic fixed points by water-filling.
 
-Every limit state has the form p_i = 1 - Lambda(M*)/c_i on an active set
-M* and 0 elsewhere, where Lambda(M*) = (gamma(M*) - 1) / sum_{k in M*} 1/c_k
-is the self-consistent survival threshold: a component keeps a positive
-share exactly when its favorability exceeds the threshold of the surviving
-set.  The general solver refines a candidate set until it stabilizes;
-closed forms for the uniform map, n=2 and n=3 are provided separately and
-agree with the general route.
+Every limit state is p_i = 1 - Lambda/c_i on the surviving set M* and 0
+elsewhere, with the survival threshold Lambda = (gamma - 1)/sum_{k in M*}
+1/c_k and gamma = |M*|: a component keeps a positive share exactly when
+its favorability exceeds the threshold of the survivors.  With the
+constants sorted in descending order, the survivors are the longest
+prefix that passes c_(g) * sum_{k<=g} 1/c_(k) > g - 1, the sort-and-prefix
+rule of Euclidean projection onto the simplex.  One private kernel applies
+it to a whole stack of favorability vectors at once; the single-point
+solvers are batches of one.  Closed forms for the uniform map, n=2 and
+n=3 agree with it.
 """
 
 from __future__ import annotations
@@ -75,63 +78,69 @@ def limit_coordinate(fav: Favorability, members: ActiveSet, i: int) -> float:
     return 1.0 - lam / float(fav.c[i])
 
 
-def _report_for_active(
-    fav: Favorability,
-    active: tuple[int, ...],
-    critical: tuple[int, ...] = (),
-) -> FixedPointReport:
-    members = ActiveSet(active)
-    lam = lambda_threshold(members, fav)
-    p = np.zeros(fav.n)
-    idx = list(members.indices)
-    p[idx] = 1.0 - lam / fav.c[idx]
+def _water_fill(c: np.ndarray, support: np.ndarray | None = None):
+    """Survivors, threshold and critical flags of every row of ``c``.
+
+    ``c`` has shape (B, n); ``support`` (bool, same shape, all True when
+    omitted) marks the components that start positive, and every row
+    needs one.  Returns the alive mask, Lambda per row (summed over the
+    survivors in index order, as lambda_threshold does, so it is
+    bit-identical) and the mask of support indices whose favorability
+    sits within the relative CRITICAL_GUARD of Lambda.
+    """
+    b, n = c.shape
+    if support is None:
+        support = np.ones(c.shape, dtype=bool)
+    # Descending; components outside the support sort last as -inf and
+    # never pass.
+    c_desc = -np.sort(np.where(support, -c, np.inf), axis=1)
+    # The relative margin of 4 n eps exceeds the rounding of both sums, so
+    # every survivor (ties of the last one included, as under c_k > Lambda)
+    # clears the index-order Lambda below and gets a positive share.  While
+    # 4 n eps < CRITICAL_GUARD (n up to ~1,100) only critical constants feel it.
+    bar = np.arange(n) * (1.0 + 4 * n * 2.0**-52)
+    passing = c_desc * np.cumsum(1.0 / c_desc, axis=1) > bar
+    gamma = np.logical_and.accumulate(passing, axis=1).sum(axis=1)
+    alive = support & (c >= c_desc[np.arange(b), gamma - 1][:, None])
+    gamma = alive.sum(axis=1)
+    inv = 1.0 / c
+    lam = np.zeros(b)
+    for g in np.flatnonzero(np.bincount(gamma)[2:]) + 2:
+        rows = gamma == g
+        lam[rows] = (g - 1) / inv[rows][alive[rows]].reshape(-1, g).sum(axis=1)
+    scale = np.maximum(np.maximum(np.abs(c), np.abs(lam)[:, None]), 1.0)
+    critical = support & (np.abs(c - lam[:, None]) <= CRITICAL_GUARD * scale)
+    return alive, lam, critical
+
+
+def _report(fav: Favorability, p: np.ndarray, lam: float, critical=()) -> FixedPointReport:
+    """Report of the limit state ``p``, active exactly where positive;
+    ``critical`` is a mask over the components."""
     state = SimplexState(p)
     residual = float(np.max(np.abs(apply_map(state.p, fav.c) - state.p)))
-    return FixedPointReport(
-        p_inf=state,
-        r_inf=mean_field(state),
-        active_set=members,
-        lambda_value=lam,
-        residual=residual,
-        critical_indices=critical,
-    )
+    return FixedPointReport(state, mean_field(state), ActiveSet(state.support()), lam, residual,
+                            tuple(np.flatnonzero(critical).tolist()))
 
 
 def fixed_point_for_support(fav: Favorability, support: tuple[int, ...]) -> FixedPointReport:
-    """Equilibrium reached from initial conditions supported on ``support``.
-
-    Runs the active-set refinement restricted to the given indices.
-    """
+    """Equilibrium reached from initial conditions supported on ``support``:
+    water-filling restricted to the given indices."""
     if len(support) == 0:
         raise ValueError("support must be nonempty")
-    candidate = tuple(sorted(set(int(i) for i in support)))
-    if candidate[-1] >= fav.n:
-        raise DimensionError(f"support {candidate} out of range for n={fav.n}")
-
-    # The candidate set only ever shrinks, so this terminates in at most
-    # n refinement passes.
-    while True:
-        lam = lambda_threshold(ActiveSet(candidate), fav)
-        kept = tuple(k for k in candidate if fav.c[k] > lam)
-        if kept == candidate:
-            break
-        candidate = kept
-
-    lam = lambda_threshold(ActiveSet(candidate), fav)
-    critical = tuple(
-        k for k in sorted(set(int(i) for i in support))
-        if abs(fav.c[k] - lam) <= CRITICAL_GUARD * max(abs(fav.c[k]), abs(lam), 1.0)
-    )
-    return _report_for_active(fav, candidate, critical)
+    idx = sorted(set(int(i) for i in support))
+    if idx[0] < 0 or idx[-1] >= fav.n:
+        raise DimensionError(f"support {tuple(idx)} out of range for n={fav.n}")
+    mask = np.zeros((1, fav.n), dtype=bool)
+    mask[0, idx] = True
+    alive, lam, critical = _water_fill(fav.c[None, :], mask)
+    return _report(fav, np.where(alive[0], 1.0 - lam[0] / fav.c, 0.0), float(lam[0]), critical[0])
 
 
 def find_fixed_point(p0: SimplexState, fav: Favorability) -> FixedPointReport:
     """Analytic limit state for an initial condition and favorability set.
 
     Components starting at zero never participate (zero coordinates are
-    invariant), so the initial active candidates are the support of p0;
-    the candidate set is then refined by the threshold condition
-    c_k > Lambda(M) until it stabilizes.
+    invariant), so the water-filling runs over the support of p0.
     """
     if fav.n != p0.n:
         raise DimensionError(f"dimension mismatch: state n={p0.n}, favorability n={fav.n}")
@@ -145,9 +154,7 @@ def uniform_limit(p0: SimplexState) -> FixedPointReport:
     field splits into 1/(n-1) on the zero set and (n-m-1)/((n-1)(n-m)) on
     the support.  Equivalent to the threshold route at c = 1.
     """
-    support = p0.support()
-    fav = Favorability(np.ones(p0.n))
-    return _report_for_active(fav, support)
+    return fixed_point_for_support(Favorability(np.ones(p0.n)), p0.support())
 
 
 def fixed_point_n2(fav: Favorability) -> FixedPointReport:
@@ -155,16 +162,8 @@ def fixed_point_n2(fav: Favorability) -> FixedPointReport:
     if fav.n != 2:
         raise DimensionError(f"closed form requires n=2, got n={fav.n}")
     c1, c2 = float(fav.c[0]), float(fav.c[1])
-    state = SimplexState(np.array([c1 / (c1 + c2), c2 / (c1 + c2)]))
-    lam = lambda_threshold(ActiveSet((0, 1)), fav)
-    residual = float(np.max(np.abs(apply_map(state.p, fav.c) - state.p)))
-    return FixedPointReport(
-        p_inf=state,
-        r_inf=mean_field(state),
-        active_set=ActiveSet((0, 1)),
-        lambda_value=lam,
-        residual=residual,
-    )
+    p = np.array([c1 / (c1 + c2), c2 / (c1 + c2)])
+    return _report(fav, p, lambda_threshold(ActiveSet((0, 1)), fav))
 
 
 def pairwise_condition_n3(fav: Favorability) -> bool:
@@ -185,8 +184,8 @@ def fixed_point_n3(fav: Favorability) -> FixedPointReport:
 
         p_i = (c_i c_j + c_i c_k - c_j c_k)/(c1 c2 + c1 c3 + c2 c3).
 
-    Otherwise the violating component dies out and the general active-set
-    route supplies the boundary equilibrium.
+    Otherwise the violating component dies out and the water-filling
+    solver supplies the boundary equilibrium.
     """
     if fav.n != 3:
         raise DimensionError(f"closed form requires n=3, got n={fav.n}")
@@ -199,13 +198,4 @@ def fixed_point_n3(fav: Favorability) -> FixedPointReport:
         (c1 * c2 - c1 * c3 + c2 * c3) / den,
         (c1 * c3 - c1 * c2 + c2 * c3) / den,
     ])
-    state = SimplexState(p)
-    lam = lambda_threshold(ActiveSet((0, 1, 2)), fav)
-    residual = float(np.max(np.abs(apply_map(state.p, fav.c) - state.p)))
-    return FixedPointReport(
-        p_inf=state,
-        r_inf=mean_field(state),
-        active_set=ActiveSet((0, 1, 2)),
-        lambda_value=lam,
-        residual=residual,
-    )
+    return _report(fav, p, lambda_threshold(ActiveSet((0, 1, 2)), fav))

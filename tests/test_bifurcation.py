@@ -15,6 +15,7 @@ from simplexdyn import (
     scan_1d,
     scan_2d,
 )
+from simplexdyn import bifurcation
 
 C2_CRIT = 1 / (1 / 0.8 + 1 / 0.9)  # threshold for the middle slot of (0.8, _, 0.9)
 
@@ -117,6 +118,18 @@ class TestClassifyCodimk:
             label = classify_codimk(Favorability(c))
             assert len(label.zero_set) < n
 
+    def test_inconsistent_split_is_an_assertion_error(self, monkeypatch):
+        # a kernel that let the strongest component die is caught
+        real = bifurcation._water_fill
+
+        def bad_kernel(c, support=None):
+            alive, lam, critical = real(c, support)
+            return alive & (c < c.max(axis=1, keepdims=True)), lam, critical
+
+        monkeypatch.setattr(bifurcation, "_water_fill", bad_kernel)
+        with pytest.raises(AssertionError):
+            classify_codimk(Favorability(np.array([0.8, 0.1, 0.9])))
+
     def test_self_consistency_inequalities(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -200,6 +213,18 @@ class TestScan1D:
         with pytest.raises(ValueError):
             scan_1d(0, 1.0, 0.5, 10, np.array([0.8, 1.0, 0.9]))
 
+    def test_samples_equal_single_solves(self):
+        base = np.array([0.8, 1.0, 0.9, 0.7])
+        result = scan_1d(1, 0.05, 1.2, 120, base)
+        for s in result.samples:
+            c = base.copy()
+            c[1] = s.c_value
+            fav = Favorability(c)
+            report = find_fixed_point(SimplexState.uniform(4), fav)
+            np.testing.assert_array_equal(s.p_inf, report.p_inf.p)
+            assert s.zero_set == report.zero_set()
+            assert s.verdict == classify(report, fav).verdict
+
 
 class TestScan2D:
     def test_reference_region_map(self):
@@ -256,3 +281,51 @@ class TestScan2D:
             b = int(rng.integers(15))
             c = np.array([result.values_i[a], result.values_j[b], 1.0, 1.0])
             assert result.labels[a][b].zero_set == classify_codimk(Favorability(c)).zero_set
+
+    def test_four_region_grids_match_per_cell_classifier(self):
+        # both grids hold cells on a boundary curve (63 and 21 of them)
+        for i, j, lo, hi, steps, flagged in ((0, 1, 0.05, 1.5, 30, 63), (2, 3, 0.2, 1.2, 11, 21)):
+            base = np.ones(4)
+            result = scan_2d(i, j, lo, hi, steps, base)
+            assert sum(l.critical for row in result.labels for l in row) == flagged
+            for a, vi in enumerate(result.values_i):
+                for b, vj in enumerate(result.values_j):
+                    raw = classify_codim2(float(vi), float(vj), np.ones(2))
+                    label = result.labels[a][b]
+                    assert label.zero_set == tuple(sorted((i, j)[k] for k in raw.zero_set))
+                    assert (label.description, label.critical) == (raw.description, raw.critical)
+
+    def test_general_grids_match_per_cell_classifier(self):
+        # n = 3, and n = 10 with a fixed component too weak for the
+        # four-region rule; three of the grids hold critical cells
+        cases = (
+            (0, 1, 0.25, 1.25, 41, np.array([1.0, 1.0, 0.5]), 7),
+            (0, 2, 0.05, 1.5, 25, np.array([1.0, 0.5, 1.0]), 0),
+            (0, 1, 0.25, 1.25, 41, np.array([1, 1, *[0.5] * 7, 0.05]), 3),
+            (1, 6, 0.05, 1.5, 21, np.array([0.9, 1, 0.8, 0.7, 1.1, 0.6, 1, 0.95, 0.5, 1.0]), 0),
+        )
+        for i, j, lo, hi, steps, base, flagged in cases:
+            result = scan_2d(i, j, lo, hi, steps, base)
+            assert sum(l.critical for row in result.labels for l in row) == flagged
+            for a, vi in enumerate(result.values_i):
+                for b, vj in enumerate(result.values_j):
+                    c = np.array(base, dtype=float)
+                    c[i], c[j] = vi, vj
+                    assert result.labels[a][b] == classify_codimk(Favorability(c))
+
+    def test_chunked_grid_equals_one_pass(self, monkeypatch):
+        base = np.array([1.0, 1.0, 0.5])
+        whole = scan_2d(0, 1, 0.25, 1.25, 41, base)
+        monkeypatch.setattr(bifurcation, "_SCAN_CHUNK", 7)
+        assert scan_2d(0, 1, 0.25, 1.25, 41, base).labels == whole.labels
+
+    def test_one_label_object_per_distinct_label(self):
+        result = scan_2d(0, 1, 0.05, 1.5, 30, np.ones(4))
+        cells = [l for row in result.labels for l in row]
+        assert len({id(l) for l in cells}) == len(set(cells)) == 7
+
+    def test_bad_fixed_component_rejected(self):
+        with pytest.raises(ValueError):
+            scan_2d(0, 1, 0.05, 1.5, 5, np.array([1.0, 1.0, -1.0]))
+        with pytest.raises(ValueError):
+            scan_2d(0, 1, 0.05, 1.5, 5, np.array([1.0, 1.0, 1.0, np.nan]))

@@ -231,6 +231,22 @@ class TestClassifyRegime:
         with pytest.raises(ValueError):
             classify_regime(traj_from_first_coordinate(np.full(100, 0.5)), window=2000)
 
+    def test_period_matches_unscreened_search(self):
+        # the prefix screen skips only periods that the full window rejects,
+        # also for windows shorter than the screen and kinks past it
+        rng = np.random.default_rng(3)
+        for window in (8, 40, 130, 600):
+            for _ in range(25):
+                q0 = int(rng.integers(2, window // 2 + 1))
+                x = np.tile(rng.uniform(0.2, 0.8, q0), window // q0 + 1)[:window]
+                x[int(rng.integers(window))] += rng.choice([0.0, 1e-3, 0.2])
+                report = classify_regime(traj_from_first_coordinate(x), window=window)
+                tail = np.column_stack([x, 1 - x])
+                tol = max(1e-8, 0.02 * float(np.max(tail.max(axis=0) - tail.min(axis=0))))
+                periods = [q for q in range(2, window // 2 + 1)
+                           if np.max(np.abs(tail[q:] - tail[:-q])) < tol]
+                assert report.period == (periods[0] if periods else None)
+
     def test_benchmark_weak_feedback_reaches_fixed_point(self):
         traj = simulate_delayed(SimplexState(BENCH_P0), bench_config(1.2),
                                 steps=20_000, transient=18_000)

@@ -18,7 +18,14 @@ from simplexdyn import (
     uniform_limit,
 )
 
-from conftest import random_interior, random_simplex
+from simplexdyn.equilibrium import _water_fill
+
+from conftest import (
+    near_critical_favorability,
+    random_interior,
+    random_simplex,
+    refined_fixed_point,
+)
 
 FIG2A_C = np.array([0.3, 0.4, 0.25])
 FIG2B_C = np.array([0.8, 0.1, 0.9])
@@ -321,3 +328,61 @@ class TestFixedPointForSupport:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             fixed_point_for_support(Favorability(FIG2A_C), ())
+
+
+def _random_support(rng, n):
+    if rng.random() < 0.3:
+        return tuple(sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()))
+    return tuple(range(n))
+
+
+class TestWaterFilling:
+    def test_matches_refinement_oracle(self):
+        # ties, thresholds hit exactly or within 1e-13, restricted supports
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            n = int(rng.integers(2, 13))
+            fav = Favorability(near_critical_favorability(rng, n))
+            support = _random_support(rng, n)
+            got = fixed_point_for_support(fav, support)
+            want = refined_fixed_point(fav, support)
+            assert got.critical_indices == want.critical_indices
+            same = got.active_set == want.active_set
+            # the two may split a critical component differently, nothing else
+            assert same or want.critical_indices
+            diff = set(got.active_set.indices) ^ set(want.active_set.indices)
+            assert diff <= set(want.critical_indices)
+            if same:
+                assert got.lambda_value == want.lambda_value
+                np.testing.assert_array_equal(got.p_inf.p, want.p_inf.p)
+                np.testing.assert_array_equal(got.r_inf.r, want.r_inf.r)
+                assert got.residual == want.residual
+            else:
+                # a component at the threshold leaves Lambda unchanged up to rounding
+                assert got.lambda_value == pytest.approx(want.lambda_value, rel=1e-14)
+            assert np.all(got.p_inf.p[list(got.active_set.indices)] > 0.0)
+
+    def test_batch_rows_equal_single_solves(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 5, 9, 12):
+            c = np.array([near_critical_favorability(rng, n) for _ in range(200)])
+            support = np.array([np.isin(np.arange(n), _random_support(rng, n)) for _ in range(200)])
+            alive, lam, critical = _water_fill(c, support)
+            for b in range(200):
+                one = fixed_point_for_support(Favorability(c[b]), tuple(np.flatnonzero(support[b])))
+                assert one.active_set.indices == tuple(np.flatnonzero(alive[b]))
+                assert one.lambda_value == lam[b]
+                assert one.critical_indices == tuple(np.flatnonzero(critical[b]))
+
+    def test_survivors_clear_the_threshold(self):
+        rng = np.random.default_rng(14)
+        c = np.array([near_critical_favorability(rng, 8) for _ in range(2000)])
+        alive, lam, critical = _water_fill(c)
+        assert np.all(c[alive] > np.broadcast_to(lam[:, None], c.shape)[alive])
+        dead = ~alive & ~critical
+        assert np.all(c[dead] <= np.broadcast_to(lam[:, None], c.shape)[dead])
+        assert np.all(alive.any(axis=1))
+
+    def test_negative_support_index_rejected(self):
+        with pytest.raises(ValueError):
+            fixed_point_for_support(Favorability(FIG2A_C), (-1, 0))
