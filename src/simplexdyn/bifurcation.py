@@ -231,7 +231,6 @@ def scan_1d(
     hi: float,
     steps: int,
     c_base: np.ndarray,
-    classify_samples: bool = True,
 ) -> ScanResult1D:
     """Sweep favorability i over [lo, hi] and track the limit state.
 
@@ -259,12 +258,11 @@ def scan_1d(
     for k, v in enumerate(values):
         fav = Favorability(c[k])
         report = _report(fav, shares[k], float(lam[k]), critical[k])
-        verdict = classify(report, fav).verdict if classify_samples else ""
         samples.append(ScanSample(
             c_value=float(v),
             p_inf=report.p_inf.p,
             zero_set=report.zero_set(),
-            verdict=verdict,
+            verdict=classify(report, fav).verdict,
         ))
 
     criticals = []

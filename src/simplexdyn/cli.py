@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -112,36 +113,36 @@ def _fmt(x: float) -> str:
 
 
 def _manifest(command: str, params: dict) -> dict:
-    clean = {}
-    for key, value in params.items():
-        if isinstance(value, np.ndarray):
-            clean[key] = [float(v) for v in value]
-        else:
-            clean[key] = value
     return {
         "command": command,
-        "parameters": clean,
+        "parameters": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                       for key, value in params.items()},
         "version": __version__,
         "determinism": DETERMINISM_NOTE,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def _write_csv(path: str, manifest: dict, header: Sequence[str], rows, extra_meta=None):
-    lines = [
+def _csv_lines(rows):
+    """One CSV line per row: numbers in full precision, anything else as text."""
+    for row in rows:
+        yield ",".join(_fmt(x) if isinstance(x, (int, float, np.floating)) else str(x) for x in row)
+
+
+def _write_csv(path: str, manifest: dict, header: Sequence[str], lines, extra_meta=None):
+    """Metadata comments, the header, then the given body ``lines``."""
+    head = [
         f"# simplexdyn {manifest['version']}",
         f"# command: {manifest['command']}",
         "# parameters: " + json.dumps(manifest["parameters"], sort_keys=True),
         f"# determinism: {manifest['determinism']}",
     ]
     for key, value in dict(extra_meta or {}).items():
-        lines.append(f"# {key}: {json.dumps(value, sort_keys=True)}")
-    lines.append(f"# generated: {manifest['timestamp']}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, (int, float, np.floating)) else str(x) for x in row))
+        head.append(f"# {key}: {json.dumps(value, sort_keys=True)}")
+    head.append(f"# generated: {manifest['timestamp']}")
+    head.append(",".join(header))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*head, *lines]) + "\n")
 
 
 def _write_json(path: str, manifest: dict, data: dict):
@@ -154,90 +155,80 @@ def _write_output(path: str, fmt: str, manifest: dict, header, rows, data: dict,
     if fmt == "json":
         _write_json(path, manifest, data)
     else:
-        _write_csv(path, manifest, header, rows, extra_meta or {})
+        _write_csv(path, manifest, header, _csv_lines(rows), extra_meta)
 
 
 # ---------------------------------------------------------------------------
 # minimal SVG plots (text generation only; a convenience, never a contract)
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+# Canvas size and the plot area inside it (left, bottom, right, top).
+_WIDTH, _HEIGHT = 800, 500
+_X0, _Y0, _X1, _Y1 = 60, _HEIGHT - 40, _WIDTH - 20, 40
 
 
-def _svg_axes(x0, y0, x1, y1, xlim, ylim) -> list[str]:
+def _svg_axes(xlim, ylim) -> list[str]:
     parts = [
-        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+        f'<rect x="{_X0}" y="{_Y1}" width="{_X1 - _X0}" height="{_Y0 - _Y1}" '
         'fill="none" stroke="black"/>'
     ]
     for frac in (0.0, 0.5, 1.0):
         xv = xlim[0] + frac * (xlim[1] - xlim[0])
         yv = ylim[0] + frac * (ylim[1] - ylim[0])
-        px = x0 + frac * (x1 - x0)
-        py = y0 - frac * (y0 - y1)
-        parts.append(f'<text x="{px:.1f}" y="{y0 + 16}" text-anchor="middle" font-size="10">{xv:.4g}</text>')
-        parts.append(f'<text x="{x0 - 6}" y="{py:.1f}" text-anchor="end" font-size="10">{yv:.4g}</text>')
+        px = _X0 + frac * (_X1 - _X0)
+        py = _Y0 - frac * (_Y0 - _Y1)
+        parts.append(f'<text x="{px:.1f}" y="{_Y0 + 16}" text-anchor="middle" font-size="10">{xv:.4g}</text>')
+        parts.append(f'<text x="{_X0 - 6}" y="{py:.1f}" text-anchor="end" font-size="10">{yv:.4g}</text>')
     return parts
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2"]
 
 
-def _scale(v, lim, p0, p1):
-    if lim[1] == lim[0]:
-        return 0.5 * (p0 + p1)
-    return p0 + (v - lim[0]) / (lim[1] - lim[0]) * (p1 - p0)
+def _limits(values) -> tuple[float, float]:
+    """Axis range of the data, widened by 0.5 each way when it is one value."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
+def _scale(values, lim, p0, p1) -> list[float]:
+    """Pixel positions of data values along one axis."""
+    return (p0 + (np.asarray(values) - lim[0]) / (lim[1] - lim[0]) * (p1 - p0)).tolist()
+
+
+def _write_svg(path: str, title: str, xlim, ylim, marks: list[str]):
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        *_svg_axes(xlim, ylim), *marks, "</svg>",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def _write_svg_lines(path: str, x: np.ndarray, series: list[np.ndarray], names: list[str], title: str):
-    width, height = 800, 500
-    x0, y0, x1, y1 = 60, height - 40, width - 20, 40
-    xlim = (float(np.min(x)), float(np.max(x)))
-    allv = np.concatenate(series)
-    ylim = (float(np.min(allv)), float(np.max(allv)))
-    if ylim[0] == ylim[1]:
-        ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
-    parts = _svg_header(width, height, title) + _svg_axes(x0, y0, x1, y1, xlim, ylim)
+    xlim, ylim = _limits(x), _limits(np.concatenate(series))
+    px = _scale(x, xlim, _X0, _X1)
+    marks = []
     for k, ys in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(
-            f"{_scale(xv, xlim, x0, x1):.2f},{_scale(yv, ylim, y0, y1):.2f}"
-            for xv, yv in zip(x, ys)
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, _scale(ys, ylim, _Y0, _Y1)))
+        marks.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
+        marks.append(
+            f'<text x="{_X1 - 60}" y="{_Y1 + 14 + 14 * k}" font-size="11" fill="{color}">{names[k]}</text>'
         )
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{x1 - 60}" y="{y1 + 14 + 14 * k}" font-size="11" fill="{color}">{names[k]}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, xlim, ylim, marks)
 
 
 def _write_svg_scatter(path: str, x: np.ndarray, y: np.ndarray, title: str):
-    width, height = 800, 500
-    x0, y0, x1, y1 = 60, height - 40, width - 20, 40
     if x.size == 0:
         x, y = np.array([0.0]), np.array([0.0])
-    xlim = (float(np.min(x)), float(np.max(x)))
-    ylim = (float(np.min(y)), float(np.max(y)))
-    if xlim[0] == xlim[1]:
-        xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
-    if ylim[0] == ylim[1]:
-        ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
-    parts = _svg_header(width, height, title) + _svg_axes(x0, y0, x1, y1, xlim, ylim)
-    for xv, yv in zip(x, y):
-        parts.append(
-            f'<circle cx="{_scale(xv, xlim, x0, x1):.2f}" cy="{_scale(yv, ylim, y0, y1):.2f}" '
-            'r="1.2" fill="#1f77b4"/>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    xlim, ylim = _limits(x), _limits(y)
+    marks = [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1.2" fill="#1f77b4"/>'
+             for a, b in zip(_scale(x, xlim, _X0, _X1), _scale(y, ylim, _Y0, _Y1))]
+    _write_svg(path, title, xlim, ylim, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +261,23 @@ def _print_report(report: FixedPointReport):
         print(f"critical (at-threshold) components: {_one_based(report.critical_indices)}")
 
 
+def _write_trajectory(args, manifest: dict, traj, title: str, data: dict, extra_meta=None):
+    """Recorded states to --out (CSV rows t,p_1..p_n, or JSON ``times`` and
+    ``states`` beside ``data``) and as one line per coordinate to --svg."""
+    names = [f"p_{k + 1}" for k in range(traj.states.shape[1])]
+    if args.out:
+        if args.format == "json":
+            _write_json(args.out, manifest, {**data, "times": traj.times.tolist(),
+                                             "states": traj.states.tolist()})
+        else:
+            rows = np.column_stack([traj.times, traj.states]).tolist()
+            _write_csv(args.out, manifest, ["t", *names], _csv_lines(rows), extra_meta)
+        print(f"wrote {args.out}")
+    if args.svg:
+        _write_svg_lines(args.svg, traj.times.astype(float), list(traj.states.T), names, title)
+        print(f"wrote {args.svg}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -298,10 +306,9 @@ def _cmd_simulate(args, parser) -> int:
         snap_zeros=args.snap,
     )
     traj = iterate(p0, fav, cfg)
-    final = traj.final
     print(f"converged: {traj.converged} after {traj.steps_taken} steps "
           f"(residual {traj.final_residual:.3g})")
-    print("limit = (" + ", ".join(f"{v:.10g}" for v in final.p) + ")")
+    print("limit = (" + ", ".join(f"{v:.10g}" for v in traj.final.p) + ")")
 
     params = {
         "c": None if args.uniform else args.c,
@@ -311,29 +318,12 @@ def _cmd_simulate(args, parser) -> int:
         "max_steps": args.max_steps,
         "record_every": args.record_every,
     }
-    manifest = _manifest("simulate", params)
-    if args.out:
-        header = ["t"] + [f"p_{i + 1}" for i in range(p0.n)]
-        rows = [[t, *state.p] for t, state in zip(traj.times, traj.states)]
-        data = {
-            "times": list(traj.times),
-            "states": [[float(v) for v in s.p] for s in traj.states],
-            "converged": traj.converged,
-            "steps_taken": traj.steps_taken,
-            "final_residual": traj.final_residual,
-        }
-        _write_output(args.out, args.format, manifest, header, rows, data)
-        print(f"wrote {args.out}")
-    if args.svg:
-        arr = traj.as_array()
-        _write_svg_lines(
-            args.svg,
-            np.asarray(traj.times, dtype=float),
-            [arr[:, k] for k in range(arr.shape[1])],
-            [f"p_{k + 1}" for k in range(arr.shape[1])],
-            "trajectory",
-        )
-        print(f"wrote {args.svg}")
+    data = {
+        "converged": traj.converged,
+        "steps_taken": traj.steps_taken,
+        "final_residual": traj.final_residual,
+    }
+    _write_trajectory(args, _manifest("simulate", params), traj, "trajectory", data)
     return 0
 
 
@@ -475,13 +465,12 @@ def _cmd_scan1d(args, parser) -> int:
                 "critical_values": list(result.critical_values),
             })
         else:
-            n = base.size
-            header = ["c_value"] + [f"p_{k + 1}" for k in range(n)] + ["zero_set", "verdict"]
+            header = ["c_value"] + [f"p_{k + 1}" for k in range(base.size)] + ["zero_set", "verdict"]
             rows = [
                 [s.c_value, *s.p_inf, ";".join(str(z + 1) for z in s.zero_set), s.verdict]
                 for s in result.samples
             ]
-            _write_csv(args.out, manifest, header, rows,
+            _write_csv(args.out, manifest, header, _csv_lines(rows),
                        {"critical_values": list(result.critical_values)})
         print(f"wrote {args.out}")
     if args.svg:
@@ -499,10 +488,7 @@ def _cmd_scan2d(args, parser) -> int:
     i, j = args.vary[0] - 1, args.vary[1] - 1
     result = scan_2d(i, j, lo, hi, steps, base)
 
-    counts: dict[tuple, int] = {}
-    for row in result.labels:
-        for label in row:
-            counts[label.zero_set] = counts.get(label.zero_set, 0) + 1
+    counts = Counter(label.zero_set for row in result.labels for label in row)
     summary = ", ".join(
         f"{{{';'.join(str(z + 1) for z in zs) or '-'}}}: {cnt}"
         for zs, cnt in sorted(counts.items())
@@ -527,16 +513,16 @@ def _cmd_scan2d(args, parser) -> int:
             })
         else:
             header = [f"c_{args.vary[0]}", f"c_{args.vary[1]}", "zero_set", "critical"]
-            rows = []
-            for a, vi in enumerate(result.values_i):
-                for b, vj in enumerate(result.values_j):
-                    label = result.labels[a][b]
-                    rows.append([
-                        vi, vj,
-                        ";".join(str(z + 1) for z in label.zero_set),
-                        int(label.critical),
-                    ])
-            _write_csv(args.out, manifest, header, rows)
+            # Each grid value and each distinct label (the grid shares a few
+            # label objects) is formatted once.
+            distinct = {id(label): label for row in result.labels for label in row}
+            text = {key: ";".join(str(z + 1) for z in label.zero_set) + f",{int(label.critical)}"
+                    for key, label in distinct.items()}
+            cj = [_fmt(v) for v in result.values_j]
+            lines = [f"{ci},{b},{text[id(label)]}"
+                     for ci, row in zip(map(_fmt, result.values_i), result.labels)
+                     for b, label in zip(cj, row)]
+            _write_csv(args.out, manifest, header, lines)
         print(f"wrote {args.out}")
     return 0
 
@@ -563,26 +549,13 @@ def _cmd_delay(args, parser) -> int:
             "baseline_mode": args.baseline_mode, "steps": args.steps,
             "transient": args.transient,
         })
-        if args.out:
-            header = ["t"] + [f"p_{k + 1}" for k in range(p0.n)]
-            rows = [[t, *s.p] for t, s in zip(traj.times, traj.states)]
-            data = {
-                "regime": report.regime,
-                "period": report.period,
-                "times": list(traj.times),
-                "states": [[float(v) for v in s.p] for s in traj.states],
-                "tail_extrema": [float(v) for v in report.tail_extrema],
-            }
-            _write_output(args.out, args.format, manifest, header, rows, data,
-                          {"regime": report.regime})
-            print(f"wrote {args.out}")
-        if args.svg:
-            arr = traj.as_array()
-            _write_svg_lines(args.svg, np.asarray(traj.times, dtype=float),
-                             [arr[:, k] for k in range(arr.shape[1])],
-                             [f"p_{k + 1}" for k in range(arr.shape[1])],
-                             f"delayed trajectory, beta={args.beta}")
-            print(f"wrote {args.svg}")
+        data = {
+            "regime": report.regime,
+            "period": report.period,
+            "tail_extrema": [float(v) for v in report.tail_extrema],
+        }
+        _write_trajectory(args, manifest, traj, f"delayed trajectory, beta={args.beta}",
+                          data, {"regime": report.regime})
         return 0
 
     lo, hi, steps = args.sweep_beta

@@ -11,7 +11,7 @@ equilibrium and stability modules consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,12 +43,35 @@ class DomainViolationError(RuntimeError):
     """
 
 
-def _as_float_vector(values: Iterable[float], name: str) -> np.ndarray:
+def _as_float_array(values: Iterable[float], name: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
+    return arr
+
+
+def _shares(arr: np.ndarray) -> np.ndarray:
+    """Read-only copy of a finite array whose vectors along the last axis
+    obey the SimplexState rule.  A row sum of a 2-d array equals that row's
+    own sum, so every row is checked and renormalized as it would be alone.
+    """
+    if arr.shape[-1] < 2:
+        raise DimensionError(f"state needs n >= 2 components, got {arr.shape[-1]}")
+    if (arr < 0.0).any():
+        raise ValueError(f"negative coordinate in state: {arr[np.any(arr < 0.0, axis=-1)][0]}")
+    total = arr.sum(axis=-1)
+    dev = np.abs(total - 1.0)
+    worst = dev.max()
+    if worst > RENORM_TOL:
+        raise ValueError(f"coordinates sum to {float(total[dev > RENORM_TOL][0])!r}, "
+                         "outside renormalization range")
+    if worst > _KEEP_TOL:
+        arr = np.where((dev > _KEEP_TOL)[..., None], arr / total[..., None], arr)
+    else:
+        arr = arr.copy()
+    arr.flags.writeable = False
     return arr
 
 
@@ -64,20 +87,7 @@ class SimplexState:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_vector(self.p, "p")
-        if arr.size < 2:
-            raise DimensionError(f"state needs n >= 2 components, got {arr.size}")
-        if np.any(arr < 0.0):
-            raise ValueError(f"negative coordinate in state: {arr}")
-        total = float(arr.sum())
-        dev = abs(total - 1.0)
-        if dev > RENORM_TOL:
-            raise ValueError(f"coordinates sum to {total!r}, outside renormalization range")
-        if dev > _KEEP_TOL:
-            arr = arr / total
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", _shares(_as_float_array(self.p, "p")))
 
     @property
     def n(self) -> int:
@@ -106,7 +116,7 @@ class MeanField:
     r: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_vector(self.r, "r")
+        arr = _as_float_array(self.r, "r")
         if abs(float(arr.sum()) - 1.0) > SUM_TOL:
             raise ValueError(f"mean field sums to {arr.sum()!r}, expected 1")
         arr = arr.copy()
@@ -134,7 +144,7 @@ class Favorability:
     strict: bool = False
 
     def __post_init__(self):
-        arr = _as_float_vector(self.c, "c")
+        arr = _as_float_array(self.c, "c")
         if arr.size < 2:
             raise DimensionError(f"favorability needs n >= 2 components, got {arr.size}")
         if np.any(arr <= 0.0):
@@ -202,4 +212,18 @@ def weighted_interaction(state: SimplexState, fav: Favorability) -> float:
     """
     if fav.n != state.n:
         raise DimensionError(f"dimension mismatch: state has n={state.n}, favorability n={fav.n}")
-    return float(np.dot(fav.c, state.p * (1.0 - state.p)))
+    return _interaction(state.p, fav.c)
+
+
+def _factors(p: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Multipliers F_i = (n - 1) + c_i (1 - p_i) of the share map
+    p'_i = p_i F_i / (n - 1 + L_c), over the last axis of ``p`` and ``c``
+    (leading batch dimensions allowed), written into ``out`` if given."""
+    out = np.subtract(1.0, p, out=out)
+    np.multiply(c, out, out=out)
+    return np.add(p.shape[-1] - 1.0, out, out=out)
+
+
+def _interaction(p: np.ndarray, c: np.ndarray) -> float:
+    """L_c = sum_i c_i p_i (1 - p_i) of one state (by np.dot; .sum() rounds differently)."""
+    return float(np.dot(c, p * (1.0 - p)))

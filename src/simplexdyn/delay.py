@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, DomainViolationError, Favorability, SimplexState
+from .core import DimensionError, DomainViolationError, Favorability, SimplexState, _factors
 from .dynamics import Trajectory
 
 PER_COMPONENT = "per_component"
@@ -146,9 +146,7 @@ def _run_delayed(
     for t in range(1, steps + 1):
         delayed = ring[oldest]
         np.subtract(base, np.multiply(beta, delayed, out=c_eff), out=c_eff)
-        np.multiply(c_eff, np.subtract(1.0, p, out=factors), out=factors)
-        np.add(n - 1.0, factors, out=factors)
-        np.multiply(p, factors, out=weights)
+        np.multiply(p, _factors(p, c_eff, out=factors), out=weights)
         np.add.reduce(weights, axis=1, out=total)
         if screen.min() <= 0.0:
             suspects = np.flatnonzero((total <= 0.0) | np.any(factors <= 0.0, axis=1))
@@ -193,8 +191,8 @@ def simulate_delayed(
     if errors[0] is not None:
         raise DomainViolationError(errors[0])
     return Trajectory(
-        states=tuple(SimplexState(q) for q in tail[:, 0]),
-        times=tuple(range(transient, steps + 1)),
+        states=tail[:, 0],
+        times=np.arange(transient, steps + 1),
         steps_taken=steps,
         converged=bool(disp[0] < 1e-12),
         final_residual=float(disp[0]),
@@ -289,7 +287,7 @@ def classify_regime(
     """
     if len(traj.states) < window:
         raise ValueError(f"trajectory tail has {len(traj.states)} states, need >= {window}")
-    return _classify_tail(traj.as_array()[-window:], tol_fp, coordinate, period_rtol)
+    return _classify_tail(traj.states[-window:], tol_fp, coordinate, period_rtol)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ from .core import (
     Favorability,
     SimplexState,
     SNAP_TOL,
+    _as_float_array,
+    _factors,
+    _interaction,
+    _shares,
 )
 
 
@@ -34,16 +38,7 @@ def apply_map(p: np.ndarray, c: np.ndarray) -> np.ndarray:
     (and differentiable) in a neighborhood of the simplex; the Jacobian
     formulas in the stability module are its exact derivatives.
     """
-    n = p.size
-    weights = p * ((n - 1.0) + c * (1.0 - p))
-    return weights / ((n - 1.0) + float(np.dot(c, p * (1.0 - p))))
-
-
-def _maybe_snap(p: np.ndarray, snap: bool) -> np.ndarray:
-    if snap:
-        p = p.copy()
-        p[p < SNAP_TOL] = 0.0
-    return p
+    return p * _factors(p, c) / ((p.size - 1.0) + _interaction(p, c))
 
 
 def step(state: SimplexState, fav: Favorability, snap: bool = False) -> SimplexState:
@@ -56,7 +51,9 @@ def step(state: SimplexState, fav: Favorability, snap: bool = False) -> SimplexS
     if fav.n != state.n:
         raise DimensionError(f"dimension mismatch: state n={state.n}, favorability n={fav.n}")
     out = apply_map(state.p, fav.c)
-    return SimplexState(_maybe_snap(out, snap))
+    if snap:
+        out[out < SNAP_TOL] = 0.0
+    return SimplexState(out)
 
 
 def step_uniform(state: SimplexState, snap: bool = False) -> SimplexState:
@@ -65,8 +62,7 @@ def step_uniform(state: SimplexState, snap: bool = False) -> SimplexState:
     Same kernel as `step` evaluated at c = 1, which equals
     p_i (n - p_i)/(n - L) on the simplex.
     """
-    out = apply_map(state.p, np.ones(state.n))
-    return SimplexState(_maybe_snap(out, snap))
+    return step(state, Favorability(np.ones(state.n)), snap)
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,12 @@ class IterationConfig:
         return 1 if n <= 10 else 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded states of one run, with convergence metadata.
 
+    ``states`` is a read-only (T, n) array, one state per row, checked
+    once by the SimplexState rule; ``times`` holds their T step numbers.
     ``states[0]`` is the initial condition and the final state is always
     present; intermediate states are kept at the configured stride only
     (the full path is re-derivable deterministically).  ``converged`` is
@@ -110,18 +108,28 @@ class Trajectory:
     never an assumption.
     """
 
-    states: tuple[SimplexState, ...]
-    times: tuple[int, ...]
+    states: np.ndarray
+    times: np.ndarray
     steps_taken: int
     converged: bool
     final_residual: float
 
+    def __post_init__(self):
+        states = _as_float_array(self.states, "states", ndim=2)
+        times = np.array(self.times)
+        if not times.size or times.shape != states.shape[:1] or times.dtype.kind not in "iu":
+            raise DimensionError(f"need >= 1 state and one integer time per state, got "
+                                 f"{times.dtype} times of shape {times.shape} for {len(states)}")
+        times.flags.writeable = False
+        object.__setattr__(self, "states", _shares(states))
+        object.__setattr__(self, "times", times)
+
     @property
     def final(self) -> SimplexState:
-        return self.states[-1]
+        return SimplexState(self.states[-1])
 
     def as_array(self) -> np.ndarray:
-        return np.stack([s.p for s in self.states])
+        return self.states
 
 
 def iterate(
@@ -145,34 +153,31 @@ def iterate(
         c = fav.c
     stride = cfg.stride_for(n)
 
-    p = p0.p.copy()
-    recorded = [p.copy()]
-    times = [0]
+    # Every step makes new arrays: recorded states are never written again.
+    p = p0.p
+    recorded = [p]
     converged = False
-    residual = np.inf
-    steps = 0
-    for t in range(1, cfg.max_steps + 1):
-        weights = p * ((n - 1.0) + c * (1.0 - p))
+    for steps in range(1, cfg.max_steps + 1):
+        weights = p * _factors(p, c)
         new = weights / weights.sum()
         if cfg.snap_zeros:
             new[new < SNAP_TOL] = 0.0
             new /= new.sum()
         residual = float(np.max(np.abs(new - p)))
         p = new
-        steps = t
-        if t % stride == 0:
-            recorded.append(p.copy())
-            times.append(t)
+        if steps % stride == 0:
+            recorded.append(p)
         if residual < cfg.tol:
             converged = True
             break
-    if times[-1] != steps:
-        recorded.append(p.copy())
-        times.append(steps)
+    times = np.arange(0, steps + 1, stride)
+    if steps % stride:
+        recorded.append(p)
+        times = np.append(times, steps)
 
     return Trajectory(
-        states=tuple(SimplexState(q) for q in recorded),
-        times=tuple(times),
+        states=np.array(recorded),
+        times=times,
         steps_taken=steps,
         converged=converged,
         final_residual=residual,

@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Favorability, SimplexState
+from .core import DimensionError, Favorability, SimplexState, _factors, _interaction
 from .equilibrium import FixedPointReport
 
 # |lambda| within this of 1 marks a marginal (borderline-transcritical)
@@ -43,10 +43,8 @@ def jacobian_raw(p: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     where N_i = n-1+c_i(1-p_i) and D = n-1+L_c.
     """
-    n = p.size
-    lc = float(np.dot(c, p * (1.0 - p)))
-    d = (n - 1.0) + lc
-    numer = (n - 1.0) + c * (1.0 - p)
+    d = (p.size - 1.0) + _interaction(p, c)
+    numer = _factors(p, c)
     jac = -np.outer(p * numer, c * (1.0 - 2.0 * p)) / d**2
     diag = numer / d + p * (-c * d - c * (1.0 - 2.0 * p) * numer) / d**2
     np.fill_diagonal(jac, diag)
@@ -102,8 +100,7 @@ def normal_eigenvalue(state: SimplexState, fav: Favorability, i: int) -> float:
     if state.p[i] != 0.0:
         raise ValueError(f"coordinate {i} is {state.p[i]!r}, not zero")
     n = state.n
-    lc = float(np.dot(fav.c, state.p * (1.0 - state.p)))
-    return ((n - 1.0) + float(fav.c[i])) / ((n - 1.0) + lc)
+    return ((n - 1.0) + float(fav.c[i])) / ((n - 1.0) + _interaction(state.p, fav.c))
 
 
 def derivative_n2(fav: Favorability) -> float:

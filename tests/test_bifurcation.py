@@ -182,8 +182,7 @@ class TestScan1D:
     def test_monotone_everywhere_when_others_are_weak(self):
         # with weak competitors the varied component stays interior over the
         # whole range, where its limit share is strictly increasing
-        result = scan_1d(0, 0.05, 1.0, 100, np.array([1.0, 0.02, 0.02]),
-                         classify_samples=False)
+        result = scan_1d(0, 0.05, 1.0, 100, np.array([1.0, 0.02, 0.02]))
         shares = [s.p_inf[0] for s in result.samples]
         assert all(v > 0 for v in shares)
         assert all(b > a for a, b in zip(shares, shares[1:]))

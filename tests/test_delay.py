@@ -29,9 +29,9 @@ def bench_config(beta, mode=PER_COMPONENT, tau=30):
 
 
 def traj_from_first_coordinate(x):
-    states = tuple(SimplexState(np.array([v, 1 - v])) for v in x)
-    return Trajectory(states=states, times=tuple(range(len(x))),
-                      steps_taken=len(x) - 1, converged=False, final_residual=1.0)
+    x = np.asarray(x, dtype=float)
+    return Trajectory(states=np.column_stack([x, 1 - x]), times=np.arange(x.size),
+                      steps_taken=x.size - 1, converged=False, final_residual=1.0)
 
 
 class TestDelayConfig:
@@ -98,7 +98,7 @@ class TestEffectiveC:
         traj = simulate_delayed(SimplexState(np.full(4, 0.25)), bench_config(1.2, tau=3),
                                 steps=1, transient=0)
         weights = 0.25 * (3.0 + np.array([0.6, 0.55, 0.65, 0.5]) * 0.75)
-        np.testing.assert_allclose(traj.states[1].p, weights / weights.sum(),
+        np.testing.assert_allclose(traj.states[1], weights / weights.sum(),
                                    rtol=0, atol=1e-15)
 
     def test_uses_delayed_share_not_current(self):
@@ -140,7 +140,7 @@ class TestStepDelayed:
             delayed = simulate_delayed(p, cfg, steps=5, transient=0)
             static = iterate(p, c, IterationConfig(max_steps=5, tol=1e-300, record_every=1))
             np.testing.assert_array_equal(delayed.as_array(), static.as_array())
-            np.testing.assert_allclose(delayed.states[1].p, step(p, c).p, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(delayed.states[1], step(p, c).p, rtol=0, atol=1e-15)
 
     def test_vertex_stays_put(self):
         vertex = SimplexState(np.array([0.0, 1.0, 0.0, 0.0]))

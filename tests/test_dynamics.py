@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 
 from simplexdyn import (
+    DimensionError,
     Favorability,
     IterationConfig,
     SimplexState,
+    Trajectory,
     iterate,
     l2_sq,
     step,
@@ -175,8 +177,8 @@ class TestIterate:
         traj = iterate(p0, None, IterationConfig(max_steps=10, tol=1e-30, record_every=4))
         assert not traj.converged
         assert traj.steps_taken == 10
-        assert traj.times == (0, 4, 8, 10)
-        np.testing.assert_array_equal(traj.states[0].p, p0.p)
+        assert traj.times.tolist() == [0, 4, 8, 10]
+        np.testing.assert_array_equal(traj.states[0], p0.p)
 
     def test_budget_exhaustion_reports_not_converged(self):
         p0 = SimplexState(np.array([0.6, 0.4]))
@@ -190,10 +192,81 @@ class TestIterate:
         traj = iterate(SimplexState(random_simplex(rng, 5)), c,
                        IterationConfig(record_every=10))
         for s in traj.states:
-            assert abs(s.p.sum() - 1.0) < 1e-12
-            assert np.all(s.p >= 0)
+            assert abs(s.sum() - 1.0) < 1e-12
+            assert np.all(s >= 0)
 
     def test_fixed_initial_condition_stops_immediately(self):
         traj = iterate(SimplexState.uniform(4), None)
         assert traj.converged
         assert traj.steps_taken == 1
+
+
+def make_trajectory(states, times=None):
+    states = np.asarray(states, dtype=float)
+    if times is None:
+        times = np.arange(len(states))
+    return Trajectory(states=states, times=times, steps_taken=len(states) - 1,
+                      converged=False, final_residual=1.0)
+
+
+class TestTrajectory:
+    def test_rejects_bad_rows(self):
+        good = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+        for value, error in ((np.nan, ValueError), (np.inf, ValueError), (-0.1, ValueError)):
+            bad = good.copy()
+            bad[1, 0] = value
+            with pytest.raises(error):
+                make_trajectory(bad)
+        off_sum = good.copy()
+        off_sum[2] = [0.9, 0.2]
+        with pytest.raises(ValueError, match="outside renormalization range"):
+            make_trajectory(off_sum)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            make_trajectory([0.5, 0.5], times=[0])
+        with pytest.raises(DimensionError):
+            make_trajectory(np.full((3, 2, 2), 0.5), times=[0, 1, 2])
+        with pytest.raises(DimensionError):
+            make_trajectory(np.ones((3, 1)))
+        with pytest.raises(DimensionError):
+            make_trajectory(np.empty((0, 3)), times=np.empty(0, dtype=int))
+        with pytest.raises(DimensionError):
+            make_trajectory(np.full((3, 2), 0.5), times=[0, 1])
+        with pytest.raises(DimensionError):
+            make_trajectory(np.full((3, 2), 0.5), times=[0.0, 1.0, 2.0])
+
+    def test_arrays_are_read_only_copies(self):
+        states = np.full((3, 2), 0.5)
+        times = np.arange(3)
+        traj = make_trajectory(states, times)
+        assert traj.states.shape == (3, 2) and traj.states.dtype == float
+        assert traj.times.shape == (3,) and traj.times.dtype.kind == "i"
+        for arr in (traj.states, traj.times, traj.as_array()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        states[0] = [1.0, 0.0]
+        times[0] = 7
+        assert traj.states[0].tolist() == [0.5, 0.5]
+        assert traj.times[0] == 0
+
+    def test_rows_renormalized_like_simplex_state(self):
+        # The state rule written out for one vector: divide by the sum when
+        # it is off by more than 1e-15, keep the vector bit for bit otherwise.
+        def by_hand(row):
+            total = float(row.sum())
+            return row / total if abs(total - 1.0) > 1e-15 else row
+
+        rng = np.random.default_rng(5)
+        renormalized = 0
+        for n in (2, 3, 5, 10, 12):
+            rows = np.stack([random_simplex(rng, n, zeros=k % n) for k in range(40)])
+            rows *= 1.0 + rng.uniform(-1e-10, 1e-10, (40, 1))
+            rows[::4] = np.stack([random_simplex(rng, n) for _ in range(10)])
+            traj = make_trajectory(rows)
+            for row, kept in zip(rows, traj.states):
+                assert kept.tobytes() == by_hand(row).tobytes()
+                assert kept.tobytes() == SimplexState(row).p.tobytes()
+                renormalized += kept.tobytes() != row.tobytes()
+            assert traj.final.p.tobytes() == traj.states[-1].tobytes()
+        assert renormalized > 100
